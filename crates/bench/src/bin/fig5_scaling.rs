@@ -11,7 +11,7 @@
 //! NOTE on this machine: with a single hardware core, the scalability
 //! numbers necessarily hover around (or below) 1; the harness and its
 //! output format are the deliverable, the absolute speedups are not
-//! reproducible without cores (EXPERIMENTS.md discusses this).
+//! reproducible without cores.
 
 use mincut_bench::instances::{fig5_instances, fig5_thread_counts, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};

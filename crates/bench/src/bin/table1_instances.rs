@@ -1,8 +1,9 @@
 //! Regenerates **Table 1** of the paper: statistics of the benchmark
 //! instances — original size, k, core size, minimum cut λ and minimum
 //! degree δ. The web/social graphs are replaced by synthetic proxies
-//! (DESIGN.md substitution table); the preparation pipeline (k-core →
-//! largest connected component) and the reported columns are identical.
+//! (see the substitution table in the `mincut_bench::instances` module
+//! docs); the preparation pipeline (k-core → largest connected
+//! component) and the reported columns are identical.
 
 use mincut_bench::instances::{social_proxy, web_proxy, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};

@@ -9,6 +9,19 @@
 //! * `SMC_SCALE=tiny`  — smoke-test sizes (CI);
 //! * `SMC_SCALE=small` — default: minutes on a laptop core;
 //! * `SMC_SCALE=full`  — the largest sizes this machine's memory allows.
+//!
+//! ## Instance substitutions
+//!
+//! | Paper instances | Here |
+//! |---|---|
+//! | RHG, power-law exponent 5 (Appendix A.1) | `random_hyperbolic_graph`, disk radius binary-searched against a Monte-Carlo degree estimate |
+//! | social k-cores: hollywood-2011, com-orkut, twitter-2010 | [`social_proxy`] k-cores |
+//! | web k-cores: uk-2002, gsh-2015-host, uk-2007-05 | [`web_proxy`] (RMAT) k-cores |
+//! | RMAT graphs of the Gianinazzi et al. comparison | `rmat` with Graph500 parameters |
+//!
+//! The proxies are prepared like the paper's Table 1 (k-core, then the
+//! largest connected component) and reproduce its shape: λ far below
+//! the minimum degree δ = k, and λ = 1 on the web cores.
 
 use mincut_ds::hash::FxHashSet;
 use mincut_graph::generators::{
@@ -20,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Social-network proxy (stands in for hollywood-2011 / com-orkut /
-/// twitter-2010, DESIGN.md substitution table): preferential attachment
+/// twitter-2010; see the substitution table above): preferential attachment
 /// for the power-law hubs, overlaid with an Erdős–Rényi layer so the core
 /// decomposition has the shallow-but-nonempty hierarchy of real social
 /// graphs (BA alone has degeneracy exactly its attach parameter), plus
@@ -167,7 +180,7 @@ pub fn fig2_grid(scale: Scale) -> Vec<(u32, u32, Instance)> {
 }
 
 /// "Real-world" proxy instances: k-cores of skewed synthetic graphs
-/// (substitution documented in DESIGN.md), prepared exactly like the
+/// (see the substitution table above), prepared exactly like the
 /// paper's Table 1 (k-core, then largest connected component).
 pub fn realworld_proxies(scale: Scale) -> Vec<Instance> {
     let (ba_n, rmat_scale) = match scale {

@@ -13,6 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::MinCutError;
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::MinCutResult;
 
@@ -41,31 +42,13 @@ impl Default for KargerSteinConfig {
 /// actual cut (an upper bound on λ); it equals λ with high probability for
 /// sufficient repetitions. Requires n ≥ 2; handles disconnected inputs.
 pub fn karger_stein(g: &CsrGraph, cfg: &KargerSteinConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    karger_stein_instrumented(g, cfg, &mut ctx)
-        .expect("Karger-Stein without a time budget cannot fail")
-}
-
-/// [`karger_stein`] recording the best-value trajectory per repetition
-/// into the [`SolveContext`] and honoring its time budget between
-/// repetitions.
-pub fn karger_stein_instrumented(
-    g: &CsrGraph,
-    cfg: &KargerSteinConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    karger_stein_connected(g, cfg, ctx)
+    disconnected_cut(g, cfg.compute_side).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        karger_stein_connected(g, cfg, &mut ctx)
+            .expect("Karger-Stein without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2
@@ -243,12 +226,5 @@ mod tests {
             "Monte Carlo may overshoot, never undershoot"
         );
         assert_eq!(g.cut_value(&r.side.unwrap()), r.value);
-    }
-
-    #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        let r = karger_stein(&g, &KargerSteinConfig::default());
-        assert_eq!(r.value, 0);
     }
 }

@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
@@ -47,29 +48,12 @@ impl Default for MatulaConfig {
 /// is always an actual cut of `g` with value ≤ (2+ε)·λ(G).
 /// Requires n ≥ 2; handles disconnected inputs.
 pub fn matula_approx(g: &CsrGraph, cfg: &MatulaConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    matula_approx_instrumented(g, cfg, &mut ctx).expect("Matula without a time budget cannot fail")
-}
-
-/// [`matula_approx`] recording per-pass telemetry into the
-/// [`SolveContext`] and honoring its time budget between passes.
-pub fn matula_approx_instrumented(
-    g: &CsrGraph,
-    cfg: &MatulaConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    matula_approx_connected(g, cfg, ctx)
+    disconnected_cut(g, cfg.compute_side).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        matula_approx_connected(g, cfg, &mut ctx).expect("Matula without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2

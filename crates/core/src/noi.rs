@@ -20,6 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::MinCutResult;
@@ -75,30 +76,12 @@ impl NoiConfig {
 
 /// Exact minimum cut via NOI. Requires n ≥ 2; handles disconnected inputs.
 pub fn noi_minimum_cut(g: &CsrGraph, cfg: &NoiConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    noi_minimum_cut_instrumented(g, cfg, &mut ctx).expect("NOI without a time budget cannot fail")
-}
-
-/// [`noi_minimum_cut`] feeding per-round telemetry (λ̂ trajectory,
-/// contraction counts, rescue phases) into the [`SolveContext`] and
-/// honoring its optional time budget between rounds.
-pub fn noi_minimum_cut_instrumented(
-    g: &CsrGraph,
-    cfg: &NoiConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    noi_minimum_cut_connected(g, cfg, ctx)
+    disconnected_cut(g, cfg.compute_side).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        noi_minimum_cut_connected(g, cfg, &mut ctx).expect("NOI without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2
@@ -316,16 +299,6 @@ mod tests {
         let r = noi_minimum_cut(&g, &cfg);
         assert_eq!(r.value, l);
         assert_eq!(g.cut_value(&r.side.unwrap()), l);
-    }
-
-    #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(6, &[(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)]);
-        for cfg in all_variants() {
-            let r = noi_minimum_cut(&g, &cfg);
-            assert_eq!(r.value, 0);
-            assert_eq!(g.cut_value(&r.side.unwrap()), 0);
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   worker's region prefix is a better cut (stale reads of λ̂ only make
 //!   the contraction test more conservative... or mark an edge whose
 //!   connectivity is ≥ an *older, larger* bound — still ≥ λ ≥ any final
-//!   result, see DESIGN.md "Key correctness decisions").
+//!   result).
 //!
 //! When a region's queue empties, the worker restarts from a fresh
 //! unclaimed vertex so that, as the paper requires, "after all processes

@@ -25,6 +25,7 @@ use rand::{Rng, SeedableRng};
 use crate::capforest::ScanWorkspace;
 use crate::error::MinCutError;
 use crate::parallel::capforest::{parallel_capforest_pooled, ParWorkerPool};
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::stoer_wagner::stoer_wagner_phase;
 use crate::viecut::{viecut_connected, VieCutConfig};
@@ -63,31 +64,13 @@ impl Default for ParCutConfig {
 /// Exact minimum cut, shared-memory parallel (Algorithm 2).
 /// Requires n ≥ 2; handles disconnected inputs.
 pub fn parallel_minimum_cut(g: &CsrGraph, cfg: &ParCutConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    parallel_minimum_cut_instrumented(g, cfg, &mut ctx)
-        .expect("ParCut without a time budget cannot fail")
-}
-
-/// [`parallel_minimum_cut`] feeding per-round telemetry (λ̂ trajectory,
-/// contraction counts, rescue phases, worker PQ-operation totals) into
-/// the [`SolveContext`] and honoring its time budget between rounds.
-pub fn parallel_minimum_cut_instrumented(
-    g: &CsrGraph,
-    cfg: &ParCutConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    parallel_minimum_cut_connected(g, cfg, ctx)
+    disconnected_cut(g, cfg.compute_side).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        parallel_minimum_cut_connected(g, cfg, &mut ctx)
+            .expect("ParCut without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2
@@ -305,14 +288,6 @@ mod tests {
                 assert_eq!(g.cut_value(&par.side.unwrap()), par.value);
             }
         }
-    }
-
-    #[test]
-    fn disconnected_input() {
-        let g = CsrGraph::from_edges(5, &[(0, 1, 2), (2, 3, 2), (3, 4, 2)]);
-        let r = parallel_minimum_cut(&g, &ParCutConfig::default());
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! [`SolverRegistry`]: the single source of algorithm names.
 //!
-//! Every front door resolves solvers here — the library facade
-//! ([`minimum_cut`](crate::minimum_cut)), the `mincut` CLI's `-a` flag,
-//! the bench harness and the solver-matrix tests. Canonical names are
-//! the paper's §4.1 spellings (`NOIλ̂-VieCut`, `ParCutλ̂`, `HO-CGKLS`,
-//! …); aliases cover the CLI spellings (`noi-viecut`, `parcut`,
-//! `hao-orlin`). Queue-pinned spellings (`NOIλ̂-BStack`,
-//! `noi-bqueue-viecut`, `parcutλ̂-heap`) resolve to the family with that
-//! queue pinned, overriding [`SolveOptions::pq`].
+//! Every front door resolves solvers here — [`Session`](crate::Session),
+//! the [`MinCutService`](crate::MinCutService) batch and dynamic layers,
+//! the `mincut` CLI's `-a` flag, the bench harness and the
+//! solver-matrix tests. Canonical names are the paper's §4.1 spellings
+//! (`NOIλ̂-VieCut`, `ParCutλ̂`, `HO-CGKLS`, …); aliases cover the CLI
+//! spellings (`noi-viecut`, `parcut`, `hao-orlin`). Queue-pinned
+//! spellings (`NOIλ̂-BStack`, `noi-bqueue-viecut`, `parcutλ̂-heap`)
+//! resolve to the family with that queue pinned, overriding
+//! [`SolveOptions::pq`].
 
 use std::sync::OnceLock;
 
@@ -59,11 +60,6 @@ impl SolverRegistry {
 
     /// All entries, in the paper's presentation order — the single
     /// source of algorithm names for every driver.
-    pub fn all(&self) -> &[SolverEntry] {
-        &self.entries
-    }
-
-    /// Iterator over [`SolverRegistry::all`].
     pub fn entries(&self) -> impl Iterator<Item = &SolverEntry> {
         self.entries.iter()
     }
@@ -699,6 +695,19 @@ mod tests {
             "parcut-bqueue",
         ] {
             assert!(r.resolve(name).is_ok(), "{name} must resolve");
+        }
+        // The paper's §4.1 variant names: each spelling must report
+        // exactly that instance name.
+        let opts = SolveOptions::new().threads(2);
+        for (name, paper) in [
+            ("noi-bstack", "NOIλ̂-BStack"),
+            ("noi-heap-viecut", "NOIλ̂-Heap-VieCut"),
+            ("hao-orlin", "HO-CGKLS"),
+            ("hnss", "NOI-HNSS"),
+            ("parcut-bqueue", "ParCutλ̂-BQueue(p=2)"),
+        ] {
+            let solver = r.resolve(name).unwrap();
+            assert_eq!(solver.instance_name(&opts), paper, "{name}");
         }
     }
 

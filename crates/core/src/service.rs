@@ -399,16 +399,39 @@ impl CutCache {
             .map(|e| (e.value, e.side));
         match found {
             Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                mincut_obs::metrics().counter("service.cache.hits").inc();
+                self.record_hit();
                 Some(hit)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                mincut_obs::metrics().counter("service.cache.misses").inc();
+                self.record_miss();
                 None
             }
         }
+    }
+
+    // The one increment site of each counter: the atomic behind
+    // `CacheStats` and its `service.cache.*` registry metric move
+    // together, for the cut cache and the cactus cache alike.
+
+    fn record_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        mincut_obs::metrics().counter("service.cache.hits").inc();
+    }
+
+    fn record_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        mincut_obs::metrics().counter("service.cache.misses").inc();
+    }
+
+    fn record_insertion(&self) {
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn record_invalidation(&self) {
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        mincut_obs::metrics()
+            .counter("service.cache.invalidations")
+            .inc();
     }
 
     fn insert(
@@ -425,7 +448,7 @@ impl CutCache {
         if self.map.len() >= capacity {
             return;
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.record_insertion();
         let entry = CacheEntry {
             fingerprint,
             config: config.to_string(),
@@ -445,10 +468,7 @@ impl CutCache {
     /// the slot (and its O(n) witness) goes back to the cache budget.
     fn invalidate(&self, fingerprint: u64, config: &str) {
         if self.map.remove(&Self::key(fingerprint, config)).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            mincut_obs::metrics()
-                .counter("service.cache.invalidations")
-                .inc();
+            self.record_invalidation();
         }
     }
 
@@ -653,10 +673,7 @@ impl MinCutService {
                 .remove(&Self::cactus_key(fingerprint, &stale))
                 .is_some()
             {
-                self.cache.invalidations.fetch_add(1, Ordering::Relaxed);
-                mincut_obs::metrics()
-                    .counter("service.cache.invalidations")
-                    .inc();
+                self.cache.record_invalidation();
             }
             drop(maintainer);
             // Skips poisoned maintainers internally (check_consistent).
@@ -718,13 +735,11 @@ impl MinCutService {
         if self.config.cache {
             if let Some(cactus) = self.cacti.get_cloned(&key) {
                 if cactus.n() == g.n() && cactus.lambda() == maintainer.lambda() {
-                    self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                    mincut_obs::metrics().counter("service.cache.hits").inc();
+                    self.cache.record_hit();
                     return Ok((cactus, true));
                 }
             }
-            self.cache.misses.fetch_add(1, Ordering::Relaxed);
-            mincut_obs::metrics().counter("service.cache.misses").inc();
+            self.cache.record_miss();
         }
         let cactus = Arc::new(
             maintainer
@@ -735,7 +750,7 @@ impl MinCutService {
                 .clone(),
         );
         if self.config.cache && self.cacti.len() < self.config.cache_capacity {
-            self.cache.insertions.fetch_add(1, Ordering::Relaxed);
+            self.cache.record_insertion();
             self.cacti
                 .merge_insert(key, Arc::clone(&cactus), |slot, new| *slot = new);
         }

@@ -153,18 +153,10 @@ fn solve_impl<S: Solver + ?Sized>(
     // connectivity pass runs at most once per solve — and not at all for
     // jobs served a precomputed kernel.
     if !kernelize {
-        let (comp, ncomp) = connected_components(g);
-        if ncomp > 1 {
+        if let Some(cut) = disconnected_cut(g, opts.witness) {
             stats.record_lambda(0);
             stats.total_seconds = t0.elapsed().as_secs_f64();
-            let side = smallest_component_side(&comp, ncomp);
-            return Ok(SolveOutcome {
-                cut: MinCutResult {
-                    value: 0,
-                    side: opts.witness.then_some(side),
-                },
-                stats,
-            });
+            return Ok(SolveOutcome { cut, stats });
         }
     }
 
@@ -211,6 +203,18 @@ fn solve_impl<S: Solver + ?Sized>(
     stats.total_seconds = t0.elapsed().as_secs_f64();
     solve_span.arg("lambda", cut.value);
     Ok(SolveOutcome { cut, stats })
+}
+
+/// The disconnected short-circuit shared by the session preflight and
+/// the per-family wrappers: `None` for a connected graph, otherwise
+/// λ = 0 witnessed by the smallest component (the same side the
+/// reduction pipeline's component split reports).
+pub(crate) fn disconnected_cut(g: &CsrGraph, witness: bool) -> Option<MinCutResult> {
+    let (comp, ncomp) = connected_components(g);
+    (ncomp > 1).then(|| MinCutResult {
+        value: 0,
+        side: witness.then(|| smallest_component_side(&comp, ncomp)),
+    })
 }
 
 /// Runs the algorithm body on the kernel and combines its result with

@@ -19,6 +19,7 @@ use mincut_ds::{BinaryHeapPq, MaxPq};
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::error::MinCutError;
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::MinCutResult;
 
@@ -78,17 +79,11 @@ pub fn stoer_wagner_phase(g: &CsrGraph, start: NodeId) -> SwPhase {
 /// with a component witness). Requires n ≥ 2.
 pub fn stoer_wagner(g: &CsrGraph) -> MinCutResult {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return MinCutResult {
-            value: 0,
-            side: Some(side),
-        };
-    }
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    stoer_wagner_connected(g, &mut ctx).expect("Stoer-Wagner without a time budget cannot fail")
+    disconnected_cut(g, true).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        stoer_wagner_connected(g, &mut ctx).expect("Stoer-Wagner without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2
@@ -182,13 +177,5 @@ mod tests {
         // λ(G, s, t) for the phase's last two vertices equals the phase cut.
         let (st_cut, _) = mincut_flow::min_st_cut(&g, p.s, p.t);
         assert_eq!(st_cut, p.cut_of_phase);
-    }
-
-    #[test]
-    fn disconnected_returns_zero() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 2), (2, 3, 2)]);
-        let r = stoer_wagner(&g);
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
     }
 }

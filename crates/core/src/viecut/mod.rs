@@ -29,6 +29,7 @@ use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership};
 
 use crate::error::MinCutError;
 use crate::noi::{noi_minimum_cut_connected, NoiConfig};
+use crate::solver::disconnected_cut;
 use crate::stats::{SolveContext, SolverStats};
 use crate::MinCutResult;
 
@@ -61,32 +62,15 @@ impl Default for VieCutConfig {
 
 /// Runs VieCut. Returns an upper bound on λ(G) that is always the value of
 /// an actual cut (witness included when `compute_side`); on the paper's
-/// benchmark families it is usually λ itself. Requires n ≥ 2.
+/// benchmark families it is usually λ itself. Requires n ≥ 2; handles
+/// disconnected inputs.
 pub fn viecut(g: &CsrGraph, cfg: &VieCutConfig) -> MinCutResult {
-    let mut stats = SolverStats::scratch();
-    let mut ctx = SolveContext::new(&mut stats);
-    viecut_instrumented(g, cfg, &mut ctx).expect("VieCut without a time budget cannot fail")
-}
-
-/// [`viecut`] feeding per-level telemetry (λ̂ trajectory, contraction
-/// counts) into the [`SolveContext`] and honoring its optional time
-/// budget between levels.
-pub fn viecut_instrumented(
-    g: &CsrGraph,
-    cfg: &VieCutConfig,
-    ctx: &mut SolveContext<'_>,
-) -> Result<MinCutResult, MinCutError> {
     assert!(g.n() >= 2, "minimum cut needs at least two vertices");
-    let (comp, ncomp) = mincut_graph::components::connected_components(g);
-    if ncomp > 1 {
-        ctx.stats.record_lambda(0);
-        let side = mincut_graph::components::smallest_component_side(&comp, ncomp);
-        return Ok(MinCutResult {
-            value: 0,
-            side: cfg.compute_side.then_some(side),
-        });
-    }
-    viecut_connected(g, cfg, ctx)
+    disconnected_cut(g, cfg.compute_side).unwrap_or_else(|| {
+        let mut stats = SolverStats::scratch();
+        let mut ctx = SolveContext::new(&mut stats);
+        viecut_connected(g, cfg, &mut ctx).expect("VieCut without a time budget cannot fail")
+    })
 }
 
 /// Algorithm body for inputs already known to be connected with n ≥ 2
@@ -277,13 +261,5 @@ mod tests {
         let (g, l) = known::two_communities(6, 5, 1, 2, 1);
         let r = viecut(&g, &VieCutConfig::default());
         assert_eq!(r.value, l); // below exact_threshold: NOI solves exactly
-    }
-
-    #[test]
-    fn disconnected_reports_zero() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 3), (2, 3, 3)]);
-        let r = viecut(&g, &VieCutConfig::default());
-        assert_eq!(r.value, 0);
-        assert_eq!(g.cut_value(&r.side.unwrap()), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! `known::` generators, SBM communities, small worlds, weighted
 //! variants — asserting each family's advertised guarantee (exactness
 //! or bound) and witness validity. No hand-listed algorithm vectors:
-//! [`SolverRegistry::all`] names are the single source of truth.
+//! [`SolverRegistry::entries`] names are the single source of truth.
 
 use mincut_core::{Guarantee, Session, SolveOptions, Solver, SolverRegistry};
 use mincut_graph::generators::{known, planted_partition, randomize_weights, watts_strogatz};

@@ -15,7 +15,8 @@
 //! degree calibration of NetworKit we binary-search the disk radius R
 //! against a Monte-Carlo estimate of the expected degree — slower by a few
 //! milliseconds but robust across the whole (γ, degree) plane, which is what
-//! the experiment sweeps need (DESIGN.md substitution table).
+//! the experiment sweeps need (see the substitution table in the
+//! `mincut_bench::instances` module docs).
 
 use rand::Rng;
 

@@ -3,7 +3,8 @@
 //! The paper cross-references RMAT instances when dismissing the MPI
 //! Karger–Stein implementation of Gianinazzi et al. (§4.1) and we also use
 //! them, like the web-graph k-cores, as proxies for the skewed real-world
-//! instances (DESIGN.md substitution table).
+//! instances (see the substitution table in the `mincut_bench::instances`
+//! module docs).
 
 use mincut_ds::hash::FxHashSet;
 use mincut_ds::pack_edge;

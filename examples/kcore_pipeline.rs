@@ -23,7 +23,8 @@ use rand::SeedableRng;
 /// preferential attachment (power-law hubs) overlaid with a uniform
 /// random layer (degree variance), plus weakly-attached dense satellite
 /// cliques — the structure that gives real web/social cores their
-/// λ ≪ δ minimum cuts (see DESIGN.md and the bench-harness proxies).
+/// λ ≪ δ minimum cuts (see the substitution table in the
+/// `mincut_bench::instances` module docs).
 fn social_graph(n: usize, seed: u64) -> sm_mincut::CsrGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let ba = barabasi_albert(n, 4, &mut rng);

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example network_reliability`
 
 use sm_mincut::graph::generators::{random_hyperbolic_graph, RhgParams};
-use sm_mincut::{minimum_cut, Algorithm, PqKind};
+use sm_mincut::{Session, SolveOptions};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,13 +28,12 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let cut = minimum_cut(
-        &network,
-        Algorithm::ParCut {
-            pq: PqKind::BQueue,
-            threads: std::thread::available_parallelism().map_or(2, |p| p.get()),
-        },
-    );
+    let threads = std::thread::available_parallelism().map_or(2, |p| p.get());
+    let cut = Session::new(&network)
+        .options(SolveOptions::new().threads(threads))
+        .run("ParCutλ̂-BQueue")
+        .expect("the backbone has n ≥ 2")
+        .cut;
     println!(
         "minimum cut λ = {} (found in {:.1} ms)",
         cut.value,

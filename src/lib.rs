@@ -8,7 +8,8 @@
 //!   (`mincut-graph`);
 //! * [`algorithms`] — every minimum-cut algorithm of the paper behind the
 //!   [`Solver`] registry and [`Session`] API (`mincut-core`);
-//! * [`flow`] — push-relabel max-flow and Hao–Orlin (`mincut-flow`);
+//! * [`flow`] — push-relabel and Dinic max-flow, Hao–Orlin and
+//!   Gomory–Hu trees (`mincut-flow`);
 //! * [`ds`] — the priority queues and concurrent structures
 //!   (`mincut-ds`), exposed for users building their own drivers.
 //!
@@ -78,16 +79,6 @@
 //! assert_eq!(dyn_cut.delete_edge(1, 2).unwrap().lambda, 1);
 //! assert_eq!(dyn_cut.insert_edge(1, 2, 3).unwrap().lambda, 2);
 //! ```
-//!
-//! The enum front door of earlier releases still works as a shim:
-//!
-//! ```
-//! use sm_mincut::{minimum_cut, Algorithm, CsrGraph};
-//!
-//! let g = CsrGraph::from_edges(3, &[(0, 1, 2), (1, 2, 1), (2, 0, 1)]);
-//! let cut = minimum_cut(&g, Algorithm::default());
-//! assert_eq!(cut.value, 2);
-//! ```
 
 pub use mincut_core as algorithms;
 pub use mincut_ds as ds;
@@ -97,12 +88,12 @@ pub use mincut_obs as obs;
 
 // The names a typical user needs, flattened.
 pub use mincut_core::{
-    materialize, minimum_cut, minimum_cut_seeded, parse_trace, parse_trace_op, Algorithm, BatchJob,
-    BatchReport, BatchStats, CacheStats, Cactus, CactusBuilder, CactusStats, Capabilities,
-    DynamicHandle, DynamicMinCut, DynamicStats, ErrorPolicy, Guarantee, JobReport, JobStatus,
-    Membership, MinCutError, MinCutResult, MinCutService, PqKind, ReduceOutcome,
-    ReductionPassStats, ReductionPipeline, Reductions, ServiceConfig, Session, SolveOptions,
-    SolveOutcome, Solver, SolverRegistry, SolverStats, TraceOp, UpdateReport,
+    materialize, parse_trace, parse_trace_op, BatchJob, BatchReport, BatchStats, CacheStats,
+    Cactus, CactusBuilder, CactusStats, Capabilities, DynamicHandle, DynamicMinCut, DynamicStats,
+    ErrorPolicy, Guarantee, JobReport, JobStatus, Membership, MinCutError, MinCutResult,
+    MinCutService, PqKind, ReduceOutcome, ReductionPassStats, ReductionPipeline, Reductions,
+    ServiceConfig, Session, SolveOptions, SolveOutcome, Solver, SolverRegistry, SolverStats,
+    TraceOp, UpdateReport,
 };
 pub use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, GraphBuilder, NodeId};
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use sm_mincut::graph::generators::known::brute_force_mincut;
-use sm_mincut::{minimum_cut_seeded, Algorithm, CsrGraph, NodeId, PqKind};
+use sm_mincut::{CsrGraph, MinCutResult, NodeId, PqKind, Session, SolveOptions};
 
 /// Strategy: a random connected weighted graph with n in [2, 10] for the
 /// brute-force comparison tier.
@@ -31,22 +31,36 @@ fn small_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-fn exact_algorithms() -> Vec<Algorithm> {
-    let mut v = vec![
-        Algorithm::NoiHnss,
-        Algorithm::NoiHnssVieCut,
-        Algorithm::StoerWagner,
-        Algorithm::HaoOrlin,
-        Algorithm::ParCut {
-            pq: PqKind::BQueue,
-            threads: 2,
-        },
-    ];
+/// The exact variants by registry name; ParCutλ̂ runs with two workers.
+fn exact_algorithms() -> Vec<String> {
+    let mut v: Vec<String> = [
+        "NOI-HNSS",
+        "NOI-HNSS-VieCut",
+        "StoerWagner",
+        "HO-CGKLS",
+        "ParCutλ̂-BQueue",
+    ]
+    .map(String::from)
+    .into();
     for pq in PqKind::ALL {
-        v.push(Algorithm::NoiBounded { pq });
-        v.push(Algorithm::NoiBoundedVieCut { pq });
+        v.push(format!("NOIλ̂-{pq}"));
+        v.push(format!("NOIλ̂-{pq}-VieCut"));
     }
     v
+}
+
+/// Solves `g` with the registry solver `name` under `opts` plus `seed`.
+fn solve(g: &CsrGraph, name: &str, opts: SolveOptions, seed: u64) -> MinCutResult {
+    Session::new(g)
+        .options(opts.seed(seed))
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .cut
+}
+
+/// [`solve`] for the exact variants.
+fn solve_exact(g: &CsrGraph, name: &str, seed: u64) -> MinCutResult {
+    solve(g, name, SolveOptions::new().threads(2), seed)
 }
 
 proptest! {
@@ -55,9 +69,8 @@ proptest! {
     #[test]
     fn exact_algorithms_match_brute_force(g in small_graph(), seed in 0u64..1000) {
         let expected = brute_force_mincut(&g);
-        for algo in exact_algorithms() {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo, seed);
+        for name in exact_algorithms() {
+            let r = solve_exact(&g, &name, seed);
             prop_assert_eq!(r.value, expected, "{} on {:?}", name, g);
             prop_assert!(r.verify(&g), "{} witness", name);
         }
@@ -66,16 +79,16 @@ proptest! {
     #[test]
     fn inexact_algorithms_upper_bound(g in small_graph(), seed in 0u64..1000) {
         let expected = brute_force_mincut(&g);
-        for algo in [
-            Algorithm::VieCut,
-            Algorithm::KargerStein { repetitions: 2 },
-            Algorithm::Matula { epsilon: 0.5 },
+        let epsilon = 0.5;
+        for (name, opts) in [
+            ("VieCut", SolveOptions::new()),
+            ("KargerStein", SolveOptions::new().repetitions(2)),
+            ("Matula", SolveOptions::new().epsilon(epsilon)),
         ] {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo.clone(), seed);
+            let r = solve(&g, name, opts, seed);
             prop_assert!(r.value >= expected, "{} went below λ", name);
             prop_assert!(r.verify(&g), "{} must report an actual cut", name);
-            if let Algorithm::Matula { epsilon } = algo {
+            if name == "Matula" {
                 let bound = ((2.0 + epsilon) * expected as f64).floor() as u64;
                 prop_assert!(r.value <= bound, "(2+ε) violated by {}", name);
             }
@@ -105,9 +118,8 @@ fn exact_algorithms_agree_on_medium_random_graphs() {
         }
         let g = CsrGraph::from_edges(n, &edges);
         let mut value = None;
-        for algo in exact_algorithms() {
-            let name = algo.to_string();
-            let r = minimum_cut_seeded(&g, algo, trial);
+        for name in exact_algorithms() {
+            let r = solve_exact(&g, &name, trial);
             assert!(r.verify(&g), "{name} witness, trial {trial}");
             match value {
                 None => value = Some(r.value),
@@ -127,9 +139,8 @@ fn exact_algorithms_agree_on_rhg() {
     let mut rng = SmallRng::seed_from_u64(5);
     let g = random_hyperbolic_graph(&RhgParams::paper(1 << 10, 12.0), &mut rng);
     let mut value = None;
-    for algo in exact_algorithms() {
-        let name = algo.to_string();
-        let r = minimum_cut_seeded(&g, algo, 17);
+    for name in exact_algorithms() {
+        let r = solve_exact(&g, &name, 17);
         assert!(r.verify(&g), "{name}");
         match value {
             None => value = Some(r.value),

@@ -10,10 +10,22 @@ use sm_mincut::graph::generators::{
 };
 use sm_mincut::graph::io::{read_metis, write_metis};
 use sm_mincut::graph::kcore::{core_numbers, k_core_lcc};
-use sm_mincut::{minimum_cut, minimum_cut_seeded, Algorithm, CsrGraph, PqKind};
+use sm_mincut::{CsrGraph, MinCutResult, Session, SolveOptions};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// Solves `g` with the registry solver `name` under `seed`.
+fn solve(g: &CsrGraph, name: &str, seed: u64) -> MinCutResult {
+    Session::new(g)
+        .options(SolveOptions::new().seed(seed))
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .cut
+}
+
+/// The default seed of [`SolveOptions`].
+const SEED: u64 = 0xC0FFEE;
 
 #[test]
 fn kcore_lcc_invariants_on_rmat() {
@@ -40,12 +52,12 @@ fn solver_invariant_under_relabelling() {
     let mut rng = SmallRng::seed_from_u64(9);
     let g = connected_gnm(120, 480, &mut rng);
     let g = randomize_weights(&g, 6, &mut rng);
-    let base = minimum_cut(&g, Algorithm::default()).value;
+    let base = solve(&g, "NOIλ̂-Heap-VieCut", SEED).value;
     for seed in 0..5 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let perm = random_permutation(g.n(), &mut rng);
         let h = g.permuted(&perm);
-        let r = minimum_cut(&h, Algorithm::default());
+        let r = solve(&h, "NOIλ̂-Heap-VieCut", SEED);
         assert_eq!(r.value, base, "λ must be isomorphism-invariant");
         assert!(r.verify(&h));
     }
@@ -61,8 +73,8 @@ fn metis_roundtrip_through_solver() {
     let h = read_metis(std::io::Cursor::new(buf)).unwrap();
     assert_eq!(g, h);
     assert_eq!(
-        minimum_cut(&g, Algorithm::default()).value,
-        minimum_cut(&h, Algorithm::NoiBounded { pq: PqKind::BQueue }).value
+        solve(&g, "NOIλ̂-Heap-VieCut", SEED).value,
+        solve(&h, "NOIλ̂-BQueue", SEED).value
     );
 }
 
@@ -86,7 +98,7 @@ proptest! {
             .collect();
         prop_assume!(!edges.is_empty());
         let g = CsrGraph::from_edges(n, &edges);
-        let r = minimum_cut_seeded(&g, Algorithm::NoiBounded { pq: PqKind::Heap }, 1);
+        let r = solve(&g, "NOIλ̂-Heap", 1);
         prop_assert_eq!(r.value == 0, !is_connected(&g));
         prop_assert!(r.verify(&g));
     }

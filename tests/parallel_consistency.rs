@@ -5,18 +5,28 @@
 use sm_mincut::graph::generators::{barabasi_albert, known, random_hyperbolic_graph, RhgParams};
 use sm_mincut::graph::kcore::k_core_lcc;
 use sm_mincut::{
-    materialize, minimum_cut_seeded, Algorithm, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut,
-    NodeId, PqKind, Reductions, Session, SolveOptions,
+    materialize, CactusBuilder, CsrGraph, DeltaGraph, DynamicMinCut, MinCutResult, NodeId, PqKind,
+    Reductions, Session, SolveOptions,
 };
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Solves `g` with the registry solver `name` under `seed` and
+/// `threads` workers.
+fn solve(g: &CsrGraph, name: &str, seed: u64, threads: usize) -> MinCutResult {
+    Session::new(g)
+        .options(SolveOptions::new().seed(seed).threads(threads))
+        .run(name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"))
+        .cut
+}
+
 fn assert_parcut_matches(g: &CsrGraph, expected: u64, label: &str) {
     for pq in PqKind::ALL {
         for threads in [1usize, 2, 3, 4, 8] {
             for seed in [1u64, 2] {
-                let r = minimum_cut_seeded(g, Algorithm::ParCut { pq, threads }, seed);
+                let r = solve(g, &format!("ParCutλ̂-{pq}"), seed, threads);
                 assert_eq!(
                     r.value, expected,
                     "{label}: pq {pq}, {threads} threads, seed {seed}"
@@ -41,7 +51,7 @@ fn parcut_on_planted_cut_families() {
 fn parcut_on_rhg() {
     let mut rng = SmallRng::seed_from_u64(77);
     let g = random_hyperbolic_graph(&RhgParams::paper(1 << 10, 10.0), &mut rng);
-    let expected = minimum_cut_seeded(&g, Algorithm::NoiHnss, 1).value;
+    let expected = solve(&g, "NOI-HNSS", 1, 1).value;
     assert_parcut_matches(&g, expected, "rhg");
 }
 
@@ -50,7 +60,7 @@ fn parcut_on_social_core() {
     let mut rng = SmallRng::seed_from_u64(78);
     let ba = barabasi_albert(1 << 10, 5, &mut rng);
     let (core, _) = k_core_lcc(&ba, 5);
-    let expected = minimum_cut_seeded(&core, Algorithm::NoiBounded { pq: PqKind::Heap }, 1).value;
+    let expected = solve(&core, "NOIλ̂-Heap", 1, 1).value;
     assert_parcut_matches(&core, expected, "social_core");
 }
 
@@ -71,7 +81,7 @@ fn fixed_seed_is_deterministic_across_thread_counts() {
         for pq in PqKind::ALL {
             let mut values = Vec::new();
             for threads in [1usize, 2, 4] {
-                let r = minimum_cut_seeded(g, Algorithm::ParCut { pq, threads }, 0xD5EED);
+                let r = solve(g, &format!("ParCutλ̂-{pq}"), 0xD5EED, threads);
                 // The witness partition must be a real cut of exactly the
                 // reported weight (region growth may pick different
                 // optimal sides per schedule; their *weight* may not
@@ -366,7 +376,7 @@ fn simd_scalar_and_native_tiers_are_bit_identical() {
     let mut rng = SmallRng::seed_from_u64(79);
     let ba = barabasi_albert(1 << 9, 5, &mut rng);
     let (core, _) = k_core_lcc(&ba, 5);
-    let l = minimum_cut_seeded(&core, Algorithm::NoiHnss, 1).value;
+    let l = solve(&core, "NOI-HNSS", 1, 1).value;
     instances.push((core, l));
 
     for (g, l) in &instances {
@@ -414,14 +424,7 @@ fn parcut_seed_independence_of_value() {
     // scheduling-dependent; run the same config many times.
     let (g, l) = known::two_communities(30, 30, 2, 2, 1);
     for rep in 0..12 {
-        let r = minimum_cut_seeded(
-            &g,
-            Algorithm::ParCut {
-                pq: PqKind::BQueue,
-                threads: 4,
-            },
-            rep,
-        );
+        let r = solve(&g, "ParCutλ̂-BQueue", rep, 4);
         assert_eq!(r.value, l, "rep {rep}");
     }
 }
