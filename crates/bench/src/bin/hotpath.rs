@@ -22,6 +22,11 @@
 //!    faster end-to-end (the PR's acceptance bar); `tiny` (CI) runs the
 //!    determinism checks only, where timings are noise.
 //!
+//!    The frozen loop is not frozen everywhere: its VieCut seeding calls
+//!    the shipped [`padberg_rinaldi_pass`](mincut_core::viecut::padberg_rinaldi_pass),
+//!    so a faster Padberg–Rinaldi pass speeds up *both* sides of this
+//!    A/B and leaves the ratio to the scan, LP and contraction changes.
+//!
 //! Results are persisted as `results/BENCH_<name>.json`
 //! (`hotpath <name>`, default `hotpath`) — see ROADMAP.md "Performance"
 //! for the baseline protocol.

@@ -9,11 +9,17 @@
 //! *strictly* smaller — that assertion makes this bin double as the CI
 //! smoke test of the whole kernelization path (`SMC_SCALE=tiny`).
 //!
+//! The Fig. 2 RHG instances ([`fig2_grid`]) carry the kernelization
+//! cost gate: at `SMC_SCALE=small`/`full`, default `noi-viecut` with
+//! reductions on must take at most [`RHG_ON_OFF_LIMIT`]× its
+//! reductions-off wall time on every RHG row. The other rows are
+//! report-only; `tiny` (CI) runs no timing assertion.
+//!
 //! Sizes follow `SMC_SCALE` (tiny/small/full) like every other bench bin.
 
 use std::time::Instant;
 
-use mincut_bench::instances::{social_proxy, Scale};
+use mincut_bench::instances::{fig2_grid, social_proxy, Scale};
 use mincut_bench::report::{BenchEntry, BenchReport};
 use mincut_bench::table::Table;
 use mincut_core::{ReductionPipeline, Session, SolveContext, SolveOptions, SolverStats};
@@ -21,11 +27,17 @@ use mincut_graph::generators::known;
 use mincut_graph::kcore::k_core_lcc;
 use mincut_graph::CsrGraph;
 
+/// Largest reductions-on / reductions-off wall-time ratio allowed on the
+/// RHG rows at non-tiny scales.
+const RHG_ON_OFF_LIMIT: f64 = 1.1;
+
 struct Case {
     name: String,
     graph: CsrGraph,
     /// Clustered instances must produce a strictly smaller kernel.
     clustered: bool,
+    /// RHG instances carry the on/off wall-time gate.
+    rhg: bool,
 }
 
 fn cases(scale: Scale) -> Vec<Case> {
@@ -40,12 +52,14 @@ fn cases(scale: Scale) -> Vec<Case> {
         name: format!("two_communities_{}", g.n()),
         graph: g,
         clustered: true,
+        rhg: false,
     });
     let (g, _) = known::ring_of_cliques(6 + unit, 8 * unit, 2, 1);
     out.push(Case {
         name: format!("ring_of_cliques_{}", g.n()),
         graph: g,
         clustered: true,
+        rhg: false,
     });
     let ba = social_proxy(256 * unit, 42);
     let (core, _) = k_core_lcc(&ba, 5);
@@ -54,6 +68,7 @@ fn cases(scale: Scale) -> Vec<Case> {
             name: format!("social_k5_{}", core.n()),
             graph: core,
             clustered: true,
+            rhg: false,
         });
     }
     // Control: grids have no community structure to exploit; reductions
@@ -63,7 +78,16 @@ fn cases(scale: Scale) -> Vec<Case> {
         name: format!("grid_{}", g.n()),
         graph: g,
         clustered: false,
+        rhg: false,
     });
+    for (_, _, inst) in fig2_grid(scale) {
+        out.push(Case {
+            name: inst.name,
+            graph: inst.graph,
+            clustered: false,
+            rhg: true,
+        });
+    }
     out
 }
 
@@ -84,6 +108,8 @@ fn time_solver(g: &CsrGraph, solver: &str, opts: &SolveOptions, reps: usize) -> 
 fn main() {
     let scale = Scale::from_env();
     let reps = scale.repetitions();
+    // Timings at `tiny` are noise: the RHG gate runs from `small` up.
+    let gate_rhg = scale != Scale::Tiny;
     println!("== Kernelization impact (scale {scale:?}) ==\n");
 
     let mut report = BenchReport::new("reduction", scale);
@@ -137,6 +163,14 @@ fn main() {
                 "{}: λ must be identical with reductions on and off ({solver}, p={threads})",
                 case.name
             );
+            if gate_rhg && case.rhg && solver == "noi-viecut" {
+                assert!(
+                    t_on <= RHG_ON_OFF_LIMIT * t_off,
+                    "{}: reductions-on noi-viecut took {t_on:.5} s, more than \
+                     {RHG_ON_OFF_LIMIT}× reductions-off ({t_off:.5} s)",
+                    case.name
+                );
+            }
             time_table.row(vec![
                 case.name.clone(),
                 solver.into(),
@@ -173,4 +207,7 @@ fn main() {
         Err(e) => eprintln!("\ncould not write baseline: {e}"),
     }
     println!("\nall λ values identical with reductions on and off ✓");
+    if gate_rhg {
+        println!("RHG noi-viecut: reductions on ≤ {RHG_ON_OFF_LIMIT}× off on every row ✓");
+    }
 }

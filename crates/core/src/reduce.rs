@@ -509,12 +509,14 @@ impl ReductionPipeline {
 // `crate::viecut::padberg_rinaldi_pass` re-exports this).
 // ---------------------------------------------------------------------
 
-/// Degree budget for the triangle test: the sorted-list intersection of
-/// test 3 costs `deg(u) + deg(v)` per edge, which degenerates to
-/// `Σ_v deg(v)²` on hub-heavy graphs. Past this bound the test is skipped
-/// — it only costs contraction opportunities, never correctness (the
-/// linear-work discipline mirrors the reference implementation's bounded
-/// passes).
+/// Degree budget for the triangle test: an edge is tested only when
+/// `deg(u) + deg(v)` stays within it. Test 3 scatters `c(u, ·)` into a
+/// marker array once per vertex `u` (`deg(u)`) and then walks `N(v)` per
+/// tested edge, stopping as soon as the bound is met, so without a cap
+/// the pass still degenerates to `Σ_v deg(v)²` on hub-heavy graphs. Past
+/// this bound the test is skipped — it only costs contraction
+/// opportunities, never correctness (the linear-work discipline mirrors
+/// the reference implementation's bounded passes).
 const TRIANGLE_DEGREE_BUDGET: usize = 256;
 
 /// One pass of the Padberg–Rinaldi tests over all edges, for an edge
@@ -563,9 +565,15 @@ fn pr_pass(
     // *every* cut separating their endpoints by λ̂, so they compose
     // freely with each other and with the matching.
     let mut matched = vec![false; g.n()];
+    // Test 3 scratch: `c(u, x)` for the current `u`, 0 for non-neighbours
+    // (no self loops, so `u` itself reads 0). Allocated at the first
+    // tested edge, so the triangle-free `heavy-edge` pass never pays.
+    let mut marker: Vec<EdgeWeight> = Vec::new();
     for u in 0..g.n() as NodeId {
         let du = g.weighted_degree(u);
-        for (v, w) in g.arcs(u) {
+        let (nu, wu) = g.arc_slices(u);
+        let mut scattered = false;
+        for (&v, &w) in nu.iter().zip(wu) {
             if u >= v {
                 continue;
             }
@@ -586,40 +594,46 @@ fn pr_pass(
                 }
                 continue;
             }
-            // Test 3: aggregate triangle bound via sorted-list intersection.
-            if g.degree(u) + g.degree(v) > triangle_budget {
+            // Test 3: aggregate triangle bound. An already merged pair
+            // cannot union again, so its sum is never needed.
+            if nu.len() + g.degree(v) > triangle_budget || uf.same(u, v) {
                 continue;
             }
-            let bound = w + common_neighbor_min_sum(g, u, v);
-            if bound >= lambda_hat && uf.union(u, v) {
+            if !scattered {
+                if marker.is_empty() {
+                    marker = vec![0; g.n()];
+                }
+                for (&x, &c) in nu.iter().zip(wu) {
+                    marker[x as usize] = c;
+                }
+                scattered = true;
+            }
+            // c(e) < λ̂ here (test 1 continued otherwise): no underflow.
+            if triangle_sum_reaches(g, v, &marker, lambda_hat - w) && uf.union(u, v) {
                 unions += 1;
+            }
+        }
+        if scattered {
+            for &x in nu {
+                marker[x as usize] = 0;
             }
         }
     }
     unions
 }
 
-/// `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x))` by merging the two sorted
-/// adjacency lists.
-fn common_neighbor_min_sum(g: &CsrGraph, u: NodeId, v: NodeId) -> EdgeWeight {
-    let nu = g.neighbors(u);
-    let wu = g.neighbor_weights(u);
-    let nv = g.neighbors(v);
-    let wv = g.neighbor_weights(v);
-    let (mut i, mut j) = (0usize, 0usize);
+/// Whether `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x)) ≥ need`, with
+/// `c(u, ·)` scattered into `marker`; stops as soon as the sum gets there.
+fn triangle_sum_reaches(g: &CsrGraph, v: NodeId, marker: &[EdgeWeight], need: EdgeWeight) -> bool {
+    let (nv, wv) = g.arc_slices(v);
     let mut sum = 0;
-    while i < nu.len() && j < nv.len() {
-        match nu[i].cmp(&nv[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                sum += wu[i].min(wv[j]);
-                i += 1;
-                j += 1;
-            }
+    for (&x, &c) in nv.iter().zip(wv) {
+        sum += marker[x as usize].min(c);
+        if sum >= need {
+            return true;
         }
     }
-    sum
+    false
 }
 
 #[cfg(test)]
@@ -797,6 +811,150 @@ mod tests {
     }
 
     // ----- Padberg–Rinaldi pass tests (moved with the implementation) ----
+
+    /// The merge-based pass the marker-array [`pr_pass`] replaced, its
+    /// code unchanged (comments dropped): the differential reference.
+    fn reference_pr_pass(
+        g: &CsrGraph,
+        lambda_hat: EdgeWeight,
+        uf: &mut UnionFind,
+        triangle_budget: usize,
+    ) -> usize {
+        let mut unions = 0;
+        let mut matched = vec![false; g.n()];
+        for u in 0..g.n() as NodeId {
+            let du = g.weighted_degree(u);
+            for (v, w) in g.arcs(u) {
+                if u >= v {
+                    continue;
+                }
+                let dv = g.weighted_degree(v);
+                if w >= lambda_hat {
+                    if uf.union(u, v) {
+                        unions += 1;
+                    }
+                    continue;
+                }
+                if 2 * w >= du.min(dv) && !matched[u as usize] && !matched[v as usize] {
+                    if uf.union(u, v) {
+                        matched[u as usize] = true;
+                        matched[v as usize] = true;
+                        unions += 1;
+                    }
+                    continue;
+                }
+                if g.degree(u) + g.degree(v) > triangle_budget {
+                    continue;
+                }
+                let bound = w + common_neighbor_min_sum(g, u, v);
+                if bound >= lambda_hat && uf.union(u, v) {
+                    unions += 1;
+                }
+            }
+        }
+        unions
+    }
+
+    /// `Σ_{x ∈ N(u) ∩ N(v)} min(c(u,x), c(v,x))` by merging the two
+    /// sorted adjacency lists.
+    fn common_neighbor_min_sum(g: &CsrGraph, u: NodeId, v: NodeId) -> EdgeWeight {
+        let nu = g.neighbors(u);
+        let wu = g.neighbor_weights(u);
+        let nv = g.neighbors(v);
+        let wv = g.neighbor_weights(v);
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut sum = 0;
+        while i < nu.len() && j < nv.len() {
+            match nu[i].cmp(&nv[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    sum += wu[i].min(wv[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        sum
+    }
+
+    /// Random weighted multigraph (duplicates merge by summing) with a
+    /// random density, so tests 1, 2 and 3 all get their turn.
+    fn random_multigraph(rng: &mut SmallRng) -> CsrGraph {
+        let n = rng.gen_range(4..40u32);
+        let p = rng.gen_range(0.05..0.9);
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in u + 1..n {
+                if rng.gen_bool(p) {
+                    edges.push((u, v, rng.gen_range(1..9)));
+                    if rng.gen_bool(0.2) {
+                        edges.push((v, u, rng.gen_range(1..9)));
+                    }
+                }
+            }
+        }
+        CsrGraph::from_edges(n as usize, &edges)
+    }
+
+    /// A hub adjacent to 200 spokes that each carry 1–59 random chords,
+    /// so `deg(hub) + deg(v)` lands on both sides of the triangle budget,
+    /// with enough triangles through the hub for test 3 to fire.
+    fn hub_graph(rng: &mut SmallRng) -> CsrGraph {
+        let spokes = 200u32;
+        let mut edges = Vec::new();
+        for v in 1..=spokes {
+            edges.push((0, v, rng.gen_range(1..4)));
+            for _ in 0..rng.gen_range(1..60) {
+                let x = rng.gen_range(1..=spokes);
+                if x != v {
+                    edges.push((v, x, rng.gen_range(1..7)));
+                }
+            }
+        }
+        CsrGraph::from_edges(spokes as usize + 1, &edges)
+    }
+
+    #[test]
+    fn marker_pass_matches_the_merge_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x9a55);
+        let mut graphs: Vec<CsrGraph> = (0..120).map(|_| random_multigraph(&mut rng)).collect();
+        let hubs = graphs.len()..graphs.len() + 6;
+        graphs.extend(hubs.clone().map(|_| hub_graph(&mut rng)));
+        graphs.push(CsrGraph::from_edges(
+            5,
+            &[(0, 1, 3), (0, 4, 5), (1, 2, 6), (2, 3, 4), (3, 4, 4)],
+        ));
+        let mut triangle_fired = false;
+        let mut hub_budget_split = false;
+        for (i, g) in graphs.iter().enumerate() {
+            let lambda = crate::noi::noi_minimum_cut(g, &crate::noi::NoiConfig::default()).value;
+            let min_degree = g.min_weighted_degree().unwrap().1;
+            for lambda_hat in [min_degree, lambda, lambda + 1, u64::MAX] {
+                let mut tested = [0usize; 3];
+                for (b, budget) in [0, TRIANGLE_DEGREE_BUDGET, usize::MAX]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let mut want = UnionFind::new(g.n());
+                    let want_unions = reference_pr_pass(g, lambda_hat, &mut want, budget);
+                    let mut got = UnionFind::new(g.n());
+                    let got_unions = pr_pass(g, lambda_hat, &mut got, budget);
+                    let tag = format!("graph {i}, λ̂ {lambda_hat}, budget {budget}");
+                    assert_eq!(got_unions, want_unions, "{tag}: union count");
+                    assert_eq!(got.dense_labels(), want.dense_labels(), "{tag}: labels");
+                    tested[b] = got_unions;
+                }
+                triangle_fired |= tested[2] != tested[0];
+                hub_budget_split |= hubs.contains(&i) && tested[1] != tested[2];
+            }
+        }
+        assert!(triangle_fired, "test 3 never fired: the check is vacuous");
+        assert!(
+            hub_budget_split,
+            "the budget never cut a hub triangle: the check is vacuous"
+        );
+    }
 
     #[test]
     fn heavy_edge_contracts_under_test1() {

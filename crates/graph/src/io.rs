@@ -24,6 +24,11 @@ pub(crate) fn record_ingest(span: &mut mincut_obs::SpanGuard, bytes: u64, start:
         .record(start.elapsed().as_micros() as u64);
 }
 
+/// Largest total edge weight the parsers accept. Under it `2·c(e)`,
+/// every weighted degree and every cut value fit in an [`EdgeWeight`];
+/// past it they would wrap and a solver could report a wrong λ.
+pub const MAX_TOTAL_WEIGHT: EdgeWeight = EdgeWeight::MAX / 2;
+
 /// Errors produced by the graph parsers.
 #[derive(Debug)]
 pub enum GraphIoError {
@@ -33,6 +38,10 @@ pub enum GraphIoError {
         line: usize,
         message: String,
     },
+    /// The edge weights read up to `line` sum past [`MAX_TOTAL_WEIGHT`].
+    TotalWeightTooLarge {
+        line: usize,
+    },
 }
 
 impl std::fmt::Display for GraphIoError {
@@ -40,6 +49,10 @@ impl std::fmt::Display for GraphIoError {
         match self {
             GraphIoError::Io(e) => write!(f, "I/O error: {e}"),
             GraphIoError::Parse { line, message } => write!(f, "line {line}: {message}"),
+            GraphIoError::TotalWeightTooLarge { line } => write!(
+                f,
+                "line {line}: total edge weight exceeds {MAX_TOTAL_WEIGHT} (u64::MAX / 2)"
+            ),
         }
     }
 }
@@ -57,6 +70,16 @@ fn parse_err(line: usize, message: impl Into<String>) -> GraphIoError {
         line,
         message: message.into(),
     }
+}
+
+/// Adds `w` to the running total edge weight, rejecting the graph once
+/// the total passes [`MAX_TOTAL_WEIGHT`].
+fn add_weight(total: &mut EdgeWeight, w: EdgeWeight, line: usize) -> Result<(), GraphIoError> {
+    *total = total
+        .checked_add(w)
+        .filter(|&t| t <= MAX_TOTAL_WEIGHT)
+        .ok_or(GraphIoError::TotalWeightTooLarge { line })?;
+    Ok(())
 }
 
 fn int_err(line: usize, e: ParseIntError) -> GraphIoError {
@@ -82,7 +105,8 @@ fn parse_unsigned(line: usize, token: &str, what: &str) -> Result<u64, GraphIoEr
 /// supported, vertex weights are skipped. Vertex ids are 1-based; `%` lines
 /// are comments. Self-loops and negative values are parse errors — the
 /// solvers assume loop-free graphs, and silently dropping bad records
-/// would let corrupt instances through a serving pipeline unnoticed.
+/// would let corrupt instances through a serving pipeline unnoticed, and
+/// so is a total edge weight above [`MAX_TOTAL_WEIGHT`].
 pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
     let start = Instant::now();
     let mut span = mincut_obs::span("ingest/parse");
@@ -125,6 +149,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
     }
 
     let mut b = GraphBuilder::with_capacity(n, m);
+    let mut total: EdgeWeight = 0;
     let mut vertex = 0usize;
     for (no, line) in lines {
         let line = line?;
@@ -172,6 +197,7 @@ pub fn read_metis<R: BufRead>(reader: R) -> Result<CsrGraph, GraphIoError> {
             };
             // Every undirected edge appears twice; keep the canonical copy.
             if vertex < nb - 1 {
+                add_weight(&mut total, w, no + 1)?;
                 b.add_edge(vertex as NodeId, (nb - 1) as NodeId, w);
             }
         }
@@ -226,7 +252,8 @@ pub fn write_metis<W: Write>(g: &CsrGraph, mut writer: W) -> std::io::Result<()>
 /// Reads a whitespace-separated edge list: `u v [w]` per line, 0-based ids,
 /// `#` and `%` comments. The vertex count is `max id + 1` unless a larger
 /// `n` is given. Self-loops (`u == v`) and negative ids/weights are parse
-/// errors, matching the METIS reader's strictness.
+/// errors, and a total edge weight above [`MAX_TOTAL_WEIGHT`] is rejected,
+/// matching the METIS reader's strictness.
 pub fn read_edge_list<R: BufRead>(
     reader: R,
     n_hint: Option<usize>,
@@ -236,6 +263,7 @@ pub fn read_edge_list<R: BufRead>(
     span.arg("format", "edge-list");
     let mut bytes = 0u64;
     let mut edges: Vec<(NodeId, NodeId, EdgeWeight)> = Vec::new();
+    let mut total: EdgeWeight = 0;
     let mut max_id: u64 = 0;
     for (no, line) in reader.lines().enumerate() {
         let line = line?;
@@ -266,6 +294,7 @@ pub fn read_edge_list<R: BufRead>(
                 format!("self-loop on vertex {u} not allowed"),
             ));
         }
+        add_weight(&mut total, w, no + 1)?;
         max_id = max_id.max(u).max(v);
         edges.push((u as NodeId, v as NodeId, w));
     }

@@ -56,6 +56,40 @@ fn negative_weights_and_self_loops_are_rejected_not_panics() {
 }
 
 #[test]
+fn total_weight_past_half_u64_is_rejected_in_both_formats() {
+    // Connected with true λ = 2^63 + 1, but weighted degrees would wrap
+    // past u64::MAX and a solve would report a wrong λ.
+    let err = read_edge_list(Cursor::new(OVERFLOWING_EDGES), None).expect_err("edge list");
+    assert!(
+        matches!(err, GraphIoError::TotalWeightTooLarge { line: 1 }),
+        "{err}"
+    );
+    let metis = "3 3 001\n2 9223372036854775808 3 1\n\
+                 1 9223372036854775808 3 9223372036854775808\n\
+                 1 1 2 9223372036854775808\n";
+    assert!(
+        matches!(
+            metis_err(metis),
+            GraphIoError::TotalWeightTooLarge { line: 2 }
+        ),
+        "{metis:?}"
+    );
+    // Exactly at the bound is accepted.
+    let g = read_edge_list(
+        Cursor::new("0 1 4611686018427387903\n1 2 4611686018427387904\n"),
+        None,
+    )
+    .unwrap();
+    assert_eq!(
+        g.total_edge_weight(),
+        sm_mincut::graph::io::MAX_TOTAL_WEIGHT
+    );
+}
+
+/// Three edges whose weights sum past `u64::MAX / 2` (and past u64::MAX).
+const OVERFLOWING_EDGES: &str = "0 1 9223372036854775808\n1 2 9223372036854775808\n0 2 1\n";
+
+#[test]
 fn solver_errors_are_values_not_panics() {
     let tiny = CsrGraph::from_edges(1, &[]);
     assert_eq!(
@@ -350,6 +384,20 @@ fn cli_exit_codes_for_single_graph_failures() {
     let bad = scratch_file("selfloop.txt", "0 0\n");
     let out = mincut_bin().arg(&bad).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+
+    // A total edge weight past u64::MAX / 2: runtime failure on every
+    // solve path, never a wrapped λ.
+    let heavy = scratch_file("overflowing_weights.txt", OVERFLOWING_EDGES);
+    for args in [
+        &[][..],
+        &["--no-reduce"],
+        &["-a", "stoer-wagner", "--no-reduce"],
+    ] {
+        let out = mincut_bin().args(args).arg(&heavy).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("total edge weight"), "{args:?}: {stderr}");
+    }
 
     // Unknown solver: usage error, detected before the graph loads.
     let out = mincut_bin()
