@@ -15,7 +15,7 @@
 //!    fingerprints.
 //! 3. **End-to-end** — `noi-viecut` (and ParCut at 1/2/4 workers)
 //!    re-implemented as the pre-rewrite loop (legacy queues, fresh scan
-//!    state per pass, hash-only contraction) vs. the shipped solvers.
+//!    state per pass, no sort or matrix contraction) vs. the shipped solvers.
 //!    λ must agree everywhere; for the sequential solver the PQ-op
 //!    totals must also be identical, pinning old/new path determinism.
 //!    At `SMC_SCALE=small`/`full` the new `noi-viecut` must be ≥ 1.3×
@@ -24,8 +24,12 @@
 //!
 //!    The frozen loop is not frozen everywhere: its VieCut seeding calls
 //!    the shipped [`padberg_rinaldi_pass`](mincut_core::viecut::padberg_rinaldi_pass),
-//!    so a faster Padberg–Rinaldi pass speeds up *both* sides of this
-//!    A/B and leaves the ratio to the scan, LP and contraction changes.
+//!    and its contraction rounds of at least
+//!    [`ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD`] vertices call
+//!    the shipped [`ContractionEngine::contract_parallel`] (the bucketed
+//!    row build). A faster Padberg–Rinaldi pass or parallel contraction
+//!    speeds up *both* sides of this A/B and leaves the ratio to the
+//!    scan, LP and sequential-contraction changes.
 //!
 //! Results are persisted as `results/BENCH_<name>.json`
 //! (`hotpath <name>`, default `hotpath`) — see ROADMAP.md "Performance"
@@ -90,7 +94,7 @@ fn cases(scale: Scale) -> Vec<Case> {
 
 // ---------------------------------------------------------------------
 // The frozen pre-rewrite sequential NOI loop (value-only): legacy lazy-
-// deletion queues, fresh scan state every pass, hash-only contraction.
+// deletion queues, fresh scan state every pass, no sort or matrix contraction.
 // ---------------------------------------------------------------------
 
 fn legacy_scan(g: &CsrGraph, lambda: u64, start: NodeId, bstack: bool) -> LegacyScanOut {
@@ -177,7 +181,8 @@ fn viecut_bound(g: &CsrGraph, seed: u64) -> (u64, PqCounters) {
 }
 
 /// Pre-rewrite contraction dispatch: hash sequentially below the
-/// threshold, sharded-parallel above — never the sort path.
+/// threshold, the shipped parallel path above — never the sort or
+/// matrix path.
 fn contract_legacy(
     engine: &mut ContractionEngine,
     g: &CsrGraph,
@@ -264,13 +269,7 @@ fn legacy_noi(g: &CsrGraph, seed: u64, use_viecut: bool) -> LegacyRun {
             uf.union(phase.s, phase.t);
         }
         let (labels, blocks) = uf.dense_labels();
-        // Pre-rewrite dispatch: hash sequentially below the threshold,
-        // sharded-parallel above — never the sort path.
-        let next = if current.n() < ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD {
-            engine.contract_sequential(&current, &labels, blocks)
-        } else {
-            engine.contract_parallel(&current, &labels, blocks)
-        };
+        let next = contract_legacy(&mut engine, &current, &labels, blocks);
         engine.recycle(std::mem::replace(&mut current, next));
         if let Some((_, d)) = current.min_weighted_degree() {
             if current.n() >= 2 && d < lambda {
@@ -282,7 +281,7 @@ fn legacy_noi(g: &CsrGraph, seed: u64, use_viecut: bool) -> LegacyRun {
 }
 
 /// The pre-rewrite ParCut loop (value-only): legacy-queue workers via the
-/// generic unpooled entry point, sequential heap rescue, hash-only
+/// generic unpooled entry point, sequential heap rescue, pre-rewrite
 /// contraction.
 fn legacy_parcut(g: &CsrGraph, seed: u64, threads: usize) -> LegacyRun {
     use mincut_core::parallel::capforest::parallel_capforest;
@@ -327,11 +326,7 @@ fn legacy_parcut(g: &CsrGraph, seed: u64, threads: usize) -> LegacyRun {
             }
             uf.dense_labels()
         };
-        let next = if current.n() < ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD {
-            engine.contract_sequential(&current, &labels, blocks)
-        } else {
-            engine.contract_parallel(&current, &labels, blocks)
-        };
+        let next = contract_legacy(&mut engine, &current, &labels, blocks);
         engine.recycle(std::mem::replace(&mut current, next));
         if let Some((_, d)) = current.min_weighted_degree() {
             if current.n() >= 2 && d < lambda {

@@ -1,13 +1,14 @@
-//! Sharded concurrent hash map for parallel graph contraction.
+//! Sharded concurrent hash map.
 //!
 //! Section 3.2 of the paper builds the contracted graph with a concurrent
 //! hash table (they use the folklore growing table of Maier, Sanders and
 //! Dementiev): every edge of the old graph is hashed by the pair of block
 //! ids of its endpoints and its weight is added to the accumulated weight of
-//! the corresponding contracted edge. We implement the same functionality
-//! with a fixed set of lock-striped shards — simpler, dependency-free and
-//! adequate because the key universe (contracted edges) is known to be no
-//! larger than the old edge set.
+//! the corresponding contracted edge. This map implements that table with
+//! a fixed set of lock-striped shards — simpler and dependency-free. The
+//! workspace's parallel contraction does not use it: it writes the
+//! contracted rows directly (see `mincut_graph::contract`). The map backs
+//! the solve service's fingerprint-keyed caches.
 
 use std::hash::{BuildHasher, Hash};
 
@@ -96,20 +97,10 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// Drains the map into a vector of entries (single-threaded epilogue).
     pub fn drain_into_vec(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// Drains the map into a caller-owned vector, appending entries. The
-    /// shards keep their allocated capacity, so a map that is drained and
-    /// refilled repeatedly (the contraction engine's round loop) stops
-    /// allocating once warm.
-    pub fn drain_into(&self, out: &mut Vec<(K, V)>) {
         for s in self.shards.iter() {
-            let mut guard = s.lock();
-            out.reserve(guard.len());
-            out.extend(guard.drain());
+            out.extend(s.lock().drain());
         }
+        out
     }
 
     /// Removes every entry, keeping shard capacity for reuse.
@@ -136,8 +127,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 }
 
 impl ShardedMap<u64, u64> {
-    /// Specialised accumulate for the contraction use case: adds `w` to the
-    /// weight stored under the packed edge key.
+    /// Weight accumulation: adds `w` to the value stored under `key`.
     #[inline]
     pub fn add_weight(&self, key: u64, w: u64) {
         self.merge_insert(key, w, |acc, w| *acc += w);

@@ -24,9 +24,12 @@
 //!   `(block-pair, weight)` triples are radix-sorted in recycled scratch
 //!   and parallel edges merged in a linear run-merge, trading the hash
 //!   table's random access for streaming counting-sort passes.
-//! * **parallel** — chunked workers with thread-local pre-aggregation
-//!   merging into a drained-and-refilled [`ShardedMap`] (§3.2), for large
-//!   sparse rounds.
+//! * **parallel** — for large sparse rounds (§3.2): the vertices are
+//!   counting-sorted by block, the block range is split into parts of
+//!   equal arc volume, and each worker writes its part's finished CSR
+//!   rows directly (merging parallel arcs through a never-cleared
+//!   position array); the parts are concatenated in block order. No
+//!   hash table and no global sort.
 //!
 //! Every solver round loop in `mincut-core` drives one engine for the
 //! lifetime of its solve and records [`ContractionEngine::last_path`]
@@ -38,10 +41,13 @@
 //! that contract repeatedly should hold a [`ContractionEngine`] and feed
 //! retired graphs back through [`ContractionEngine::recycle`].
 
+use std::sync::{Mutex, PoisonError};
+
 use mincut_ds::hash::FxHashMap;
-use mincut_ds::{pack_edge, unpack_edge, ShardedMap};
+use mincut_ds::{pack_edge, unpack_edge};
 use rayon::prelude::*;
 
+use crate::csr::CsrRows;
 use crate::partition::Membership;
 use crate::{CsrGraph, EdgeWeight, NodeId};
 
@@ -69,7 +75,8 @@ pub enum ContractionPath {
     SeqSort,
     /// Flat `blocks × blocks` matrix accumulation (few output blocks).
     SeqMatrix,
-    /// Chunked parallel accumulation through the sharded table (§3.2).
+    /// Block-bucketed parallel row build (§3.2): workers write the
+    /// contracted CSR rows of disjoint block ranges directly.
     Parallel,
 }
 
@@ -80,6 +87,94 @@ impl std::fmt::Display for ContractionPath {
             ContractionPath::SeqSort => write!(f, "seq-sort"),
             ContractionPath::SeqMatrix => write!(f, "seq-matrix"),
             ContractionPath::Parallel => write!(f, "parallel"),
+        }
+    }
+}
+
+/// One worker's share of a parallel round: the finished CSR rows of a
+/// contiguous range of blocks, in buffers reused across rounds.
+#[derive(Default)]
+struct RowPart {
+    /// `pos[t]` is where target block `t` sits in the row being built —
+    /// when `adj[pos[t]] == t` inside that row. Stale entries fail that
+    /// test, so the array is never cleared.
+    pos: Vec<usize>,
+    /// End offset of each row within `adj`/`weight`.
+    row_ends: Vec<usize>,
+    adj: Vec<NodeId>,
+    weight: Vec<EdgeWeight>,
+    wdeg: Vec<EdgeWeight>,
+    sort_scratch: Vec<(NodeId, EdgeWeight)>,
+}
+
+impl RowPart {
+    /// Builds the rows of `blocks`: walks each block's members' arcs,
+    /// drops intra-block ones and merges the rest per target block.
+    fn build_rows(
+        &mut self,
+        g: &CsrGraph,
+        labels: &[NodeId],
+        blocks: std::ops::Range<usize>,
+        bucket: &[NodeId],
+        bucket_start: &[usize],
+    ) {
+        let RowPart {
+            pos,
+            row_ends,
+            adj,
+            weight,
+            wdeg,
+            sort_scratch,
+        } = self;
+        let num_blocks = bucket_start.len() - 1;
+        if pos.len() < num_blocks {
+            pos.resize(num_blocks, 0);
+        }
+        row_ends.clear();
+        row_ends.reserve(blocks.len());
+        wdeg.clear();
+        wdeg.reserve(blocks.len());
+        adj.clear();
+        weight.clear();
+        for b in blocks {
+            let row_start = adj.len();
+            let mut sum: EdgeWeight = 0;
+            let mut sorted = true;
+            for &v in &bucket[bucket_start[b]..bucket_start[b + 1]] {
+                let (targets, weights) = g.arc_slices(v);
+                for (&t, &w) in targets.iter().zip(weights) {
+                    let lt = labels[t as usize];
+                    if lt as usize == b {
+                        continue;
+                    }
+                    sum += w;
+                    let p = pos[lt as usize];
+                    if p >= row_start && adj.get(p) == Some(&lt) {
+                        weight[p] += w;
+                    } else {
+                        sorted &= adj.len() == row_start || adj[adj.len() - 1] < lt;
+                        pos[lt as usize] = adj.len();
+                        adj.push(lt);
+                        weight.push(w);
+                    }
+                }
+            }
+            if !sorted {
+                sort_scratch.clear();
+                sort_scratch.extend(
+                    adj[row_start..]
+                        .iter()
+                        .copied()
+                        .zip(weight[row_start..].iter().copied()),
+                );
+                sort_scratch.sort_unstable_by_key(|p| p.0);
+                for (i, &(t, w)) in sort_scratch.iter().enumerate() {
+                    adj[row_start + i] = t;
+                    weight[row_start + i] = w;
+                }
+            }
+            row_ends.push(adj.len());
+            wdeg.push(sum);
         }
     }
 }
@@ -98,9 +193,15 @@ impl std::fmt::Display for ContractionPath {
 pub struct ContractionEngine {
     /// Sequential accumulation table: packed block pair → summed weight.
     acc: FxHashMap<u64, EdgeWeight>,
-    /// Shared concurrent table for the parallel path; created on first
-    /// parallel contraction and drained (capacity kept) every round.
-    shared: Option<ShardedMap<u64, EdgeWeight>>,
+    /// Members of every block, contiguous per block (parallel path).
+    bucket: Vec<NodeId>,
+    /// Start of each block's members in `bucket`; length `blocks + 1`.
+    bucket_start: Vec<usize>,
+    /// Prefix sums of the blocks' arc volume; length `blocks + 1`.
+    block_arcs: Vec<usize>,
+    /// Per-worker row buffers of the parallel path. Each worker locks
+    /// only its own part, so the locks are never contended.
+    parts: Vec<Mutex<RowPart>>,
     /// Sorted `(packed edge, weight)` staging area.
     packed: Vec<(u64, EdgeWeight)>,
     /// Ping-pong buffer for the radix-sort path.
@@ -131,8 +232,8 @@ impl Default for ContractionEngine {
 
 impl ContractionEngine {
     /// Below this vertex count [`ContractionEngine::contract_parallel`]
-    /// runs the sequential path instead: parallel set-up costs (sharded
-    /// table locks, chunk scheduling) dominate on small graphs. This is
+    /// runs the sequential hash path instead, keeping the row build's
+    /// O(n + blocks) bucketing and per-part set-up off small rounds. This is
     /// the single knob shared by every contraction call site and by the
     /// reduction pipeline's contraction rounds.
     pub const SEQUENTIAL_FALLBACK_THRESHOLD: usize = 1 << 12;
@@ -160,7 +261,10 @@ impl ContractionEngine {
     pub fn new() -> Self {
         ContractionEngine {
             acc: FxHashMap::default(),
-            shared: None,
+            bucket: Vec::new(),
+            bucket_start: Vec::new(),
+            block_arcs: Vec::new(),
+            parts: Vec::new(),
             packed: Vec::new(),
             radix_tmp: Vec::new(),
             hist: Vec::new(),
@@ -191,9 +295,9 @@ impl ContractionEngine {
     /// `[0, num_blocks)`). Rounds whose estimated accumulation table
     /// outgrows cache (see
     /// [`ContractionEngine::SORT_MIN_ESTIMATED_PAIRS`]) take the
-    /// radix-sort path; the rest take the hash path, sequentially below
+    /// radix-sort path; the rest take the hash path below
     /// [`ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD`] vertices and
-    /// through the sharded parallel table above it. Returns the
+    /// the parallel row build above it. Returns the
     /// contracted graph on `num_blocks` vertices, built inside a recycled
     /// buffer when one is available.
     pub fn contract(&mut self, g: &CsrGraph, labels: &[NodeId], num_blocks: usize) -> CsrGraph {
@@ -201,12 +305,12 @@ impl ContractionEngine {
             && g.num_arcs() >= num_blocks.saturating_mul(num_blocks)
         {
             // Matrix accumulation is one indexed add per arc — faster
-            // than the parallel path's per-arc hashing at any realistic
-            // worker count, so it applies regardless of graph size.
+            // than the parallel row build at any realistic worker count,
+            // so it applies regardless of graph size.
             self.contract_matrix(g, labels, num_blocks)
         } else if g.n() >= Self::SEQUENTIAL_FALLBACK_THRESHOLD {
-            // Large many-block rounds keep the multi-worker sharded path
-            // (the single-threaded radix sort must not replace it).
+            // Large many-block rounds keep the multi-worker path (the
+            // single-threaded radix sort must not replace it).
             self.contract_parallel(g, labels, num_blocks)
         } else if Self::is_dense(g.num_arcs(), num_blocks) {
             self.contract_sorted(g, labels, num_blocks)
@@ -309,9 +413,16 @@ impl ContractionEngine {
         }
         self.packed.clear();
         // `drain` keeps the map's capacity for the next round.
-        let acc = &mut self.acc;
-        self.packed.extend(acc.drain());
-        self.build_from_packed(num_blocks)
+        self.packed.extend(self.acc.drain());
+        self.packed.par_sort_unstable_by_key(|&(k, _)| k);
+        self.edges.clear();
+        self.edges.extend(self.packed.iter().map(|&(k, w)| {
+            let (u, v) = unpack_edge(k);
+            (u, v, w)
+        }));
+        let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
+        out.rebuild_from_sorted_dedup_edges(num_blocks, &self.edges, &mut self.sort_scratch);
+        out
     }
 
     /// Sort-based contraction for dense rounds: the packed
@@ -417,12 +528,12 @@ impl ContractionEngine {
         debug_assert!(self.packed.windows(2).all(|p| p[0].0 <= p[1].0));
     }
 
-    /// Parallel contraction (§3.2). Semantically identical to the
-    /// sequential path: chunks of vertices are processed in parallel, each
-    /// worker accumulates edge weights in a local table first (the paper's
-    /// optimisation for heavy block pairs: local aggregation "to reduce
-    /// synchronization overhead") and then merges into a shared concurrent
-    /// hash table. Falls back to the sequential path below
+    /// Parallel contraction (§3.2), bit-identical to the sequential
+    /// path. The vertices are counting-sorted by block, the block range
+    /// is split into parts of equal arc volume, and each worker writes
+    /// its part's finished CSR rows directly — no shared table, no global
+    /// sort; the parts are then concatenated in block order. Falls back
+    /// to the sequential path below
     /// [`ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD`] vertices.
     pub fn contract_parallel(
         &mut self,
@@ -438,38 +549,83 @@ impl ContractionEngine {
         }
         self.last_path = ContractionPath::Parallel;
         let mut _sp = round_span("parallel", g, num_blocks);
-        // Take the shared table out of `self` so the borrow checker lets
-        // the epilogue refill `self.packed`; it goes back (drained, with
-        // its capacity) right after.
-        let shared = self.shared.take().unwrap_or_else(|| ShardedMap::new(8));
-        const CHUNK: usize = 1 << 13;
-        let num_chunks = n.div_ceil(CHUNK);
-        (0..num_chunks).into_par_iter().for_each(|c| {
-            let lo = c * CHUNK;
-            let hi = ((c + 1) * CHUNK).min(n);
-            // Local accumulation first: parallel edges between two heavy
-            // blocks are combined thread-locally, touching the shared table
-            // once per distinct block pair per chunk.
-            let mut local: FxHashMap<u64, EdgeWeight> = FxHashMap::default();
-            for u in lo as NodeId..hi as NodeId {
-                let lu = labels[u as usize];
-                for (v, w) in g.arcs(u) {
-                    if u < v {
-                        let lv = labels[v as usize];
-                        if lu != lv {
-                            *local.entry(pack_edge(lu, lv)).or_insert(0) += w;
-                        }
-                    }
-                }
+        self.bucket_by_block(g, labels, num_blocks);
+
+        // One part per `PART_VERTICES` vertices, at most one per worker.
+        // Rounds of at most `PART_VERTICES` vertices run inline: a second
+        // worker gained nothing measurable there, and spawning threads in
+        // a process that had none slowed its later, unrelated solves by
+        // ~15% (likely the allocator switching to its locked
+        // multi-thread mode).
+        const PART_VERTICES: usize = 1 << 13;
+        let workers = rayon::current_num_threads().min(n.div_ceil(PART_VERTICES));
+        if self.parts.len() < workers {
+            self.parts.resize_with(workers, Default::default);
+        }
+        let bucket = &self.bucket;
+        let bucket_start = &self.bucket_start;
+        let block_arcs = &self.block_arcs;
+        let parts = &self.parts[..workers];
+        // Part `k` starts at the first block past `k / workers` of the
+        // arc volume; the last part runs to the end.
+        let part_start = |k: usize| {
+            if k == workers {
+                num_blocks
+            } else {
+                block_arcs.partition_point(|&a| a < block_arcs[num_blocks] * k / workers)
             }
-            for (k, w) in local {
-                shared.add_weight(k, w);
-            }
+        };
+        (0..workers).into_par_iter().for_each(|k| {
+            // `build_rows` resets the whole part, so a lock poisoned by a
+            // panicked earlier round holds nothing worth keeping.
+            let mut part = parts[k].lock().unwrap_or_else(PoisonError::into_inner);
+            let (lo, hi) = (part_start(k), part_start(k + 1));
+            part.build_rows(g, labels, lo..hi, bucket, bucket_start);
         });
-        self.packed.clear();
-        shared.drain_into(&mut self.packed);
-        self.shared = Some(shared);
-        self.build_from_packed(num_blocks)
+
+        let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
+        out.rebuild_from_rows(self.parts[..workers].iter_mut().map(|p| {
+            let p = p.get_mut().unwrap_or_else(PoisonError::into_inner);
+            CsrRows {
+                row_ends: &p.row_ends,
+                adj: &p.adj,
+                weight: &p.weight,
+                wdeg: &p.wdeg,
+            }
+        }));
+        out
+    }
+
+    /// Counting-sorts the vertices by block label: afterwards block `b`'s
+    /// members are `bucket[bucket_start[b]..bucket_start[b + 1]]`
+    /// (ascending), and `block_arcs[b]` is the number of arcs leaving the
+    /// members of blocks `0..b`.
+    fn bucket_by_block(&mut self, g: &CsrGraph, labels: &[NodeId], num_blocks: usize) {
+        let start = &mut self.bucket_start;
+        let arcs = &mut self.block_arcs;
+        start.clear();
+        start.resize(num_blocks + 1, 0);
+        arcs.clear();
+        arcs.resize(num_blocks + 1, 0);
+        for (v, &b) in labels.iter().enumerate() {
+            start[b as usize + 1] += 1;
+            arcs[b as usize + 1] += g.degree(v as NodeId);
+        }
+        for b in 0..num_blocks {
+            start[b + 1] += start[b];
+            arcs[b + 1] += arcs[b];
+        }
+        // Scatter in reverse, counting each bucket's end cursor
+        // `start[b + 1]` down: buckets come out ascending, and every
+        // cursor stops at its bucket's start, one slot right of its home.
+        self.bucket.resize(labels.len(), 0);
+        for (v, &b) in labels.iter().enumerate().rev() {
+            let end = &mut start[b as usize + 1];
+            *end -= 1;
+            self.bucket[*end] = v as NodeId;
+        }
+        start.copy_within(1.., 0);
+        start[num_blocks] = labels.len();
     }
 
     /// Contracts a single edge `{a, b}`: blocks are `{a, b}` and every
@@ -525,22 +681,6 @@ impl ContractionEngine {
             });
         }
         labels
-    }
-
-    /// Sorts the staged packed edges and rebuilds a CSR graph inside the
-    /// spare buffer. The single entry point to
-    /// `CsrGraph::rebuild_from_sorted_dedup_edges` for contraction: every
-    /// contraction in the workspace funnels through here.
-    fn build_from_packed(&mut self, num_blocks: usize) -> CsrGraph {
-        self.packed.par_sort_unstable_by_key(|&(k, _)| k);
-        self.edges.clear();
-        self.edges.extend(self.packed.iter().map(|&(k, w)| {
-            let (u, v) = unpack_edge(k);
-            (u, v, w)
-        }));
-        let mut out = self.spare.take().unwrap_or_else(CsrGraph::empty);
-        out.rebuild_from_sorted_dedup_edges(num_blocks, &self.edges, &mut self.sort_scratch);
-        out
     }
 }
 

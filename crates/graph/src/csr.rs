@@ -33,6 +33,17 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
+/// One run of consecutive finished CSR rows, the unit
+/// [`CsrGraph::rebuild_from_rows`] concatenates.
+pub(crate) struct CsrRows<'a> {
+    /// End offset of each row within `adj`/`weight`.
+    pub row_ends: &'a [usize],
+    pub adj: &'a [NodeId],
+    pub weight: &'a [EdgeWeight],
+    /// Weighted degree of each row.
+    pub wdeg: &'a [EdgeWeight],
+}
+
 /// An immutable simple undirected graph with positive integer edge weights,
 /// stored in compressed-sparse-row form (every undirected edge appears as
 /// two arcs).
@@ -487,6 +498,38 @@ impl CsrGraph {
         // scatter schedule.
         self.sort_adjacency_lists(sort_scratch);
         self.rebuild_weighted_degrees();
+    }
+
+    /// Rebuilds this graph in place by concatenating runs of finished CSR
+    /// rows, reusing the existing buffers' capacity. Each run covers the
+    /// next consecutive vertices; `row_ends[i]` is the end of its `i`-th
+    /// row within the run's `adj`/`weight`, and `wdeg` holds the rows'
+    /// weight sums. The caller guarantees the CSR invariants: rows sorted
+    /// ascending without duplicates or self-loops, arcs symmetric.
+    pub(crate) fn rebuild_from_rows<'a>(&mut self, runs: impl IntoIterator<Item = CsrRows<'a>>) {
+        self.fp = OnceLock::new();
+        let xadj = self.xadj.owned();
+        let adj = self.adj.owned();
+        let weight = self.weight.owned();
+        let wdeg = self.wdeg.owned();
+        xadj.clear();
+        xadj.push(0);
+        adj.clear();
+        weight.clear();
+        wdeg.clear();
+        for run in runs {
+            debug_assert_eq!(run.row_ends.len(), run.wdeg.len());
+            debug_assert_eq!(run.row_ends.last().copied().unwrap_or(0), run.adj.len());
+            let base = adj.len();
+            xadj.extend(run.row_ends.iter().map(|&end| base + end));
+            adj.extend_from_slice(run.adj);
+            weight.extend_from_slice(run.weight);
+            wdeg.extend_from_slice(run.wdeg);
+        }
+        debug_assert!((0..self.n()).all(|v| {
+            let row = &self.adj[self.xadj[v]..self.xadj[v + 1]];
+            row.windows(2).all(|p| p[0] < p[1])
+        }));
     }
 
     fn sort_adjacency_lists(&mut self, scratch: &mut Vec<(NodeId, EdgeWeight)>) {

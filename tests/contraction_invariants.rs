@@ -4,10 +4,70 @@
 //! tracker composes correctly over multiple rounds.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sm_mincut::algorithms::{Membership, SolveContext};
-use sm_mincut::graph::contract::{contract, contract_parallel, ContractionEngine};
+use sm_mincut::ds::UnionFind;
+use sm_mincut::graph::contract::{contract, contract_parallel, ContractionEngine, ContractionPath};
 use sm_mincut::graph::generators::known::brute_force_mincut;
 use sm_mincut::{CsrGraph, NodeId, ReductionPipeline, SolverStats};
+
+/// A sparse random graph above the parallel threshold: local edges plus
+/// random chords, with every 16th vertex (on average) left isolated.
+fn large_graph(n: usize, rng: &mut SmallRng) -> CsrGraph {
+    let isolated: Vec<bool> = (0..n).map(|_| rng.gen_range(0..16u32) == 0).collect();
+    let mut edges = Vec::with_capacity(4 * n);
+    for v in 0..n {
+        if isolated[v] {
+            continue;
+        }
+        for _ in 0..2 {
+            let near = (v + rng.gen_range(1..4usize)) % n;
+            let far = rng.gen_range(0..n);
+            for u in [near, far] {
+                if u != v && !isolated[u] {
+                    edges.push((v as NodeId, u as NodeId, rng.gen_range(1..9u64)));
+                }
+            }
+        }
+    }
+    CsrGraph::from_edges(n, &edges)
+}
+
+/// The labellings the parallel path must reproduce exactly, as
+/// `(name, labels, num_blocks)`.
+fn large_labellings(g: &CsrGraph, rng: &mut SmallRng) -> Vec<(&'static str, Vec<NodeId>, usize)> {
+    let n = g.n();
+    // Near-identity: a handful of unions along random edges, numbered
+    // by first appearance like the reduction rounds' labels.
+    let mut uf = UnionFind::new(n);
+    for _ in 0..rng.gen_range(1..40) {
+        let u = rng.gen_range(0..n) as NodeId;
+        if let Some(&v) = g.neighbors(u).first() {
+            uf.union(u, v);
+        }
+    }
+    let (near, near_blocks) = uf.dense_labels();
+    // Random many-member blocks: rows concatenate several members'
+    // arcs out of order, so they need sorting.
+    let k = rng.gen_range(2..n / 2);
+    let random: Vec<NodeId> = (0..n).map(|_| rng.gen_range(0..k) as NodeId).collect();
+    // Every odd block id unused: empty rows between the live ones.
+    let sparse: Vec<NodeId> = random.iter().map(|&b| 2 * b).collect();
+    // A random permutation: one member per block, non-monotone labels.
+    let mut perm: Vec<NodeId> = (0..n as NodeId).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..i + 1));
+    }
+    vec![
+        ("identity", (0..n as NodeId).collect(), n),
+        ("near-identity", near, near_blocks),
+        ("random", random, k),
+        ("empty-rows", sparse, 2 * k),
+        ("permutation", perm, n),
+        ("single-block", vec![0; n], 1),
+    ]
+}
 
 fn graph_and_labels() -> impl Strategy<Value = (CsrGraph, Vec<NodeId>, usize)> {
     (4usize..40).prop_flat_map(|n| {
@@ -71,8 +131,11 @@ proptest! {
     }
 
     /// All four accumulation paths — hash, radix-sort, flat-matrix and
-    /// sharded-parallel — must produce fingerprint-identical `CsrGraph`s
-    /// on random multigraphs, warm buffers included: the density
+    /// parallel — must produce fingerprint-identical `CsrGraph`s on
+    /// random multigraphs, warm buffers included (graphs this small send
+    /// the parallel path to its sequential fallback; the bucketed build
+    /// itself is covered by `parallel_path_matches_sequential_above_threshold`
+    /// below). The density
     /// heuristic may switch paths between rounds, so any divergence
     /// would break bit-determinism of every solver.
     #[test]
@@ -158,5 +221,31 @@ proptest! {
         // A second round: merge everything into one block.
         m.contract(&vec![0; blocks], 1);
         prop_assert_eq!(m.members(0).len(), g.n());
+    }
+}
+
+proptest! {
+    // Graphs of 4096+ vertices: a few cases keep the suite quick.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Above the threshold `contract_parallel` runs the bucketed row
+    /// build. One warm engine contracts every labelling in turn (its
+    /// stale position arrays and recycled output buffer included), and
+    /// each result must equal the sequential hash path bit for bit.
+    #[test]
+    fn parallel_path_matches_sequential_above_threshold(
+        (n, seed) in (ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD..=12_000, any::<u64>())
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = large_graph(n, &mut rng);
+        let mut engine = ContractionEngine::new();
+        for (name, labels, blocks) in large_labellings(&g, &mut rng) {
+            let s = contract(&g, &labels, blocks);
+            let p = engine.contract_parallel(&g, &labels, blocks);
+            prop_assert_eq!(engine.last_path(), ContractionPath::Parallel);
+            prop_assert_eq!(s.fingerprint(), p.fingerprint(), "{} labelling", name);
+            prop_assert_eq!(&s, &p, "{} labelling", name);
+            engine.recycle(p);
+        }
     }
 }
