@@ -82,6 +82,7 @@
 use std::io::BufRead;
 use std::time::Instant;
 
+use mincut_graph::io::MAX_TOTAL_WEIGHT;
 use mincut_graph::{CsrGraph, DeltaGraph, EdgeWeight, NodeId};
 
 use crate::cactus::{Cactus, CactusBuilder};
@@ -523,7 +524,10 @@ impl DynamicMinCut {
     /// Inserts the edge `{u, v}` with weight `w` and updates `(λ,
     /// witness)`: no work beyond the overlay write unless the edge
     /// crosses the witness, in which case a re-solve runs with
-    /// `initial_bound = λ + w`.
+    /// `initial_bound = λ + w`. An insert that would take the total edge
+    /// weight past [`MAX_TOTAL_WEIGHT`] (the bound text input obeys) is
+    /// rejected before any mutation; under it no weighted degree, cut
+    /// value or `λ + w` wraps.
     pub fn insert_edge(
         &mut self,
         u: NodeId,
@@ -535,6 +539,15 @@ impl DynamicMinCut {
         if w == 0 {
             return Err(MinCutError::InvalidUpdate {
                 message: format!("zero-weight insert on edge ({u},{v})"),
+            });
+        }
+        let total = self.graph.total_weight();
+        if total.checked_add(w).is_none_or(|t| t > MAX_TOTAL_WEIGHT) {
+            return Err(MinCutError::InvalidUpdate {
+                message: format!(
+                    "insert of weight {w} on edge ({u},{v}) takes the total edge weight \
+                     {total} past {MAX_TOTAL_WEIGHT} (u64::MAX / 2)"
+                ),
             });
         }
         let crossing = self.side[u as usize] != self.side[v as usize];

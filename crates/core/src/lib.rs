@@ -54,9 +54,9 @@
 //! ## Kernelization
 //!
 //! Every solve first runs the exact reduction pipeline of the
-//! [`reduce`] module (connected-component split, k-core-order degree
-//! bound, heavy-edge and Padberg–Rinaldi contraction), so the algorithm
-//! body only sees the kernel; λ̂ found along the way combines exactly via
+//! [`reduce`] module (connected-component split, then Padberg–Rinaldi
+//! contraction under the bound λ̂), so the algorithm body only sees the
+//! kernel; λ̂ found along the way combines exactly via
 //! `λ(G) = min(λ̂, λ(kernel))`. The [`SolveOptions::reductions`] knob
 //! selects passes or disables the pipeline (`--no-reduce` /
 //! `--reductions=<list>` on the CLI), and [`SolverStats`] reports the

@@ -206,7 +206,7 @@ mod tests {
     fn reduction_selections_validate() {
         assert!(SolveOptions::new().no_reductions().validate().is_ok());
         assert!(SolveOptions::new()
-            .reductions(Reductions::Only(vec!["heavy-edge".into()]))
+            .reductions(Reductions::Only(vec!["padberg-rinaldi".into()]))
             .validate()
             .is_ok());
         assert!(SolveOptions::new()

@@ -19,22 +19,21 @@
 //!
 //! * `components` — a disconnected graph has λ = 0 with the smallest
 //!   component as the canonical witness; each component collapses to one
-//!   vertex and the pipeline terminates.
-//! * `degree-bound` — walks the k-core peeling order
-//!   ([`mincut_graph::kcore::core_decomposition`]) and takes the best
-//!   *prefix cut* along it (maintained incrementally in O(n + m)). Loosely
-//!   attached structure peels first, so this generalises the trivial
-//!   minimum-degree cut: the first prefix is a single minimum-degree
-//!   vertex, later prefixes capture whole satellite communities. Bound
-//!   only; never contracts.
-//! * `heavy-edge` — contracts every edge with `c(e) ≥ λ̂` (any cut
-//!   separating its endpoints pays at least `c(e)`, so no cut below λ̂ is
-//!   lost) or `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts;
-//!   trivial cuts are covered because the pipeline keeps λ̂ at most the
-//!   minimum weighted degree of every interim kernel).
-//! * `padberg-rinaldi` — the full Padberg–Rinaldi pass
-//!   ([`padberg_rinaldi_pass`], lifted out of `viecut/`), adding the
-//!   triangle test 3 on top of the edge-local tests.
+//!   vertex and the pipeline terminates. It runs once, as the mandatory
+//!   preamble of every pipeline.
+//! * `padberg-rinaldi` — the Padberg–Rinaldi pass
+//!   ([`padberg_rinaldi_pass`], lifted out of `viecut/`): contracts every
+//!   edge with `c(e) ≥ λ̂` (any cut separating its endpoints pays at least
+//!   `c(e)`, so no cut below λ̂ is lost), a matching of edges with
+//!   `2·c(e) ≥ min(c(u), c(v))` (safe for non-trivial cuts), and edges
+//!   whose weight plus their triangles reach λ̂. Every contraction
+//!   re-checks the kernel's minimum weighted degree (§3.2), which keeps λ̂
+//!   at most the value of every trivial cut, covers the trivial cuts test
+//!   2 ignores, and is how λ̂ falls between rounds.
+//!
+//! The standard pipeline is exactly these two passes. Tests 1 and 3 get
+//! stronger as λ̂ falls, so a tighter λ̂ (a caller bound, or a smaller
+//! kernel degree after a round) unlocks more contraction next round.
 //!
 //! Contractions route through the engine's
 //! [`SEQUENTIAL_FALLBACK_THRESHOLD`](ContractionEngine::SEQUENTIAL_FALLBACK_THRESHOLD)
@@ -48,7 +47,6 @@ use std::time::Instant;
 
 use mincut_ds::UnionFind;
 use mincut_graph::components::{connected_components, smallest_component_side};
-use mincut_graph::kcore::core_decomposition;
 use mincut_graph::{ContractionEngine, CsrGraph, EdgeWeight, Membership, NodeId};
 
 use crate::error::MinCutError;
@@ -126,20 +124,11 @@ impl KernelState<'_, '_> {
         }
     }
 
-    /// Adopts a better bound given as a set of *current* (kernel)
-    /// vertices on one side.
-    fn improve_current(&mut self, value: EdgeWeight, vertices: &[NodeId]) {
-        if value < self.lambda {
-            self.lambda = value;
-            self.side = Some(self.membership.side_of_vertices(vertices));
-        }
-    }
-
     /// Contracts the kernel by `labels`, keeps membership in sync through
     /// the engine, recycles the retired buffer, and re-checks the trivial
     /// cuts of the new kernel (§3.2: "If the collapsed graph G_C has a
-    /// minimum degree of less than λ̂, we update λ̂") so the heavy-edge
-    /// test 2 stays exact.
+    /// minimum degree of less than λ̂, we update λ̂") so the
+    /// Padberg–Rinaldi test 2 stays exact.
     fn contract(&mut self, labels: &[NodeId], num_blocks: usize) {
         let next = self.engine.contract_tracked(
             self.graph.as_ref(),
@@ -154,7 +143,10 @@ impl KernelState<'_, '_> {
         }
         if self.graph.n() >= 2 {
             if let Some((v, d)) = self.graph.min_weighted_degree() {
-                self.improve_current(d, &[v]);
+                if d < self.lambda {
+                    self.lambda = d;
+                    self.side = Some(self.membership.side_of_vertices(&[v]));
+                }
             }
         }
     }
@@ -188,73 +180,6 @@ impl Reduction for ComponentSplit {
         let side = k.membership.side_of_bitmap(&side_current);
         k.improve(0, Some(side));
         k.contract(&comp, ncomp);
-        true
-    }
-}
-
-/// `degree-bound`: best prefix cut along the k-core peeling order.
-struct DegreeBound;
-
-impl Reduction for DegreeBound {
-    fn name(&self) -> &'static str {
-        "degree-bound"
-    }
-
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let g = k.graph.as_ref();
-        let n = g.n();
-        if n < 2 {
-            return false;
-        }
-        let (_, order) = core_decomposition(g);
-        let mut in_prefix = vec![false; n];
-        let mut cut: EdgeWeight = 0;
-        let mut best = (k.lambda, usize::MAX);
-        for (i, &v) in order[..n - 1].iter().enumerate() {
-            let into_prefix: EdgeWeight = g
-                .arcs(v)
-                .filter(|&(u, _)| in_prefix[u as usize])
-                .map(|(_, w)| w)
-                .sum();
-            // cut(P ∪ {v}) = cut(P) + c(v) − 2·w(v, P); never underflows
-            // because w(v, P) ≤ cut(P) and w(v, P) ≤ c(v).
-            cut += g.weighted_degree(v);
-            cut -= 2 * into_prefix;
-            in_prefix[v as usize] = true;
-            if cut < best.0 {
-                best = (cut, i);
-            }
-        }
-        if best.1 != usize::MAX {
-            let (value, i) = best;
-            let prefix = &order[..=i];
-            k.improve_current(value, prefix);
-        }
-        false
-    }
-}
-
-/// `heavy-edge`: contracts under the two edge-local Padberg–Rinaldi tests.
-struct HeavyEdge;
-
-impl Reduction for HeavyEdge {
-    fn name(&self) -> &'static str {
-        "heavy-edge"
-    }
-
-    fn apply(&self, k: &mut KernelState<'_, '_>) -> bool {
-        let g = k.graph.as_ref();
-        if g.n() <= 2 {
-            return false;
-        }
-        let mut uf = UnionFind::new(g.n());
-        // Triangle budget 0: only the edge-local tests 1 and 2 run.
-        let unions = pr_pass(g, k.lambda, &mut uf, 0);
-        if unions == 0 {
-            return false;
-        }
-        let (labels, blocks) = uf.dense_labels();
-        k.contract(&labels, blocks);
         true
     }
 }
@@ -325,12 +250,7 @@ pub struct ReductionPipeline {
 }
 
 /// Canonical pass order of the standard pipeline.
-const PASS_NAMES: &[&str] = &[
-    "components",
-    "degree-bound",
-    "heavy-edge",
-    "padberg-rinaldi",
-];
+const PASS_NAMES: &[&str] = &["components", "padberg-rinaldi"];
 
 /// Fixpoint guard: contraction passes strictly shrink the kernel, so this
 /// is never the binding constraint on sane inputs.
@@ -348,8 +268,6 @@ impl ReductionPipeline {
         for name in names {
             passes.push(match name.as_ref() {
                 "components" => Box::new(ComponentSplit),
-                "degree-bound" => Box::new(DegreeBound),
-                "heavy-edge" => Box::new(HeavyEdge),
                 "padberg-rinaldi" => Box::new(PadbergRinaldi),
                 other => {
                     return Err(MinCutError::InvalidOptions {
@@ -383,7 +301,7 @@ impl ReductionPipeline {
 
     /// Kernelizes `g` (n ≥ 2 required). `initial_bound` is an optional
     /// caller bound — the value of a real cut of `g`, with its side if
-    /// known — that seeds λ̂ and thereby unlocks more heavy-edge
+    /// known — that seeds λ̂ and thereby unlocks more Padberg–Rinaldi
     /// contractions. Checks the context's time budget between passes.
     ///
     /// Disconnected inputs terminate immediately with λ̂ = 0 and the
@@ -548,8 +466,8 @@ pub fn padberg_rinaldi_pass(g: &CsrGraph, lambda_hat: EdgeWeight, uf: &mut Union
     pr_pass(g, lambda_hat, uf, TRIANGLE_DEGREE_BUDGET)
 }
 
-/// Shared body of [`padberg_rinaldi_pass`] and the `heavy-edge` pass:
-/// `triangle_budget` = 0 disables test 3, leaving the edge-local tests.
+/// Body of [`padberg_rinaldi_pass`] with the triangle budget as a
+/// parameter (0 disables test 3), so tests can sweep it.
 fn pr_pass(
     g: &CsrGraph,
     lambda_hat: EdgeWeight,
@@ -567,7 +485,7 @@ fn pr_pass(
     let mut matched = vec![false; g.n()];
     // Test 3 scratch: `c(u, x)` for the current `u`, 0 for non-neighbours
     // (no self loops, so `u` itself reads 0). Allocated at the first
-    // tested edge, so the triangle-free `heavy-edge` pass never pays.
+    // tested edge, so a pass where test 3 never runs never pays.
     let mut marker: Vec<EdgeWeight> = Vec::new();
     for u in 0..g.n() as NodeId {
         let du = g.weighted_degree(u);
@@ -727,36 +645,11 @@ mod tests {
         let (g, l) = known::two_communities(12, 14, 2, 3, 1);
         let out = kernelize(&ReductionPipeline::standard(), &g);
         assert!(out.kernel.n() < g.n(), "clustered graphs must kernelize");
-        assert_eq!(out.lambda_hat, l, "heavy-edge collapse finds λ here");
+        assert_eq!(out.lambda_hat, l, "Padberg–Rinaldi collapse finds λ here");
         let (g, l) = known::ring_of_cliques(6, 8, 2, 1);
         let out = kernelize(&ReductionPipeline::standard(), &g);
         assert!(out.kernel.n() < g.n());
         assert!(out.lambda_hat >= l);
-    }
-
-    #[test]
-    fn degree_bound_finds_satellite_cuts() {
-        // A K5 satellite hanging off a K6 by one unit edge: the peel
-        // order removes the satellite first, and its prefix cut (the
-        // single bridge) beats every single-vertex trivial cut.
-        let mut edges = Vec::new();
-        for u in 0..5u32 {
-            for v in u + 1..5 {
-                edges.push((u, v, 2));
-            }
-        }
-        for u in 5..11u32 {
-            for v in u + 1..11 {
-                edges.push((u, v, 3));
-            }
-        }
-        edges.push((0, 5, 1));
-        let g = CsrGraph::from_edges(11, &edges);
-        let p = ReductionPipeline::only(&["degree-bound"]).unwrap();
-        let out = kernelize(&p, &g);
-        assert_eq!(out.lambda_hat, 1, "the bridge is the best prefix cut");
-        assert_eq!(g.cut_value(out.side.as_ref().unwrap()), 1);
-        assert_eq!(out.kernel.n(), g.n(), "bound-only pass never contracts");
     }
 
     #[test]
@@ -782,7 +675,7 @@ mod tests {
 
     #[test]
     fn initial_bound_tightens_reductions() {
-        // With λ̂ donated at the true value, heavy-edge contracts far more.
+        // With λ̂ donated at the true value, Padberg–Rinaldi contracts more.
         let (g, l) = known::two_communities(10, 10, 2, 2, 1);
         let mut side = vec![false; g.n()];
         side[..10].fill(true);
@@ -802,9 +695,13 @@ mod tests {
         assert!(ReductionPipeline::only(&["nope"]).is_err());
         assert!(Reductions::Only(vec!["nope".into()]).validate().is_err());
         assert!(Reductions::Only(vec![]).validate().is_err());
-        assert!(Reductions::Only(vec!["heavy-edge".into()])
+        assert!(Reductions::Only(vec!["padberg-rinaldi".into()])
             .validate()
             .is_ok());
+        // No pass runs under the former `degree-bound` / `heavy-edge` names.
+        for name in ["degree-bound", "heavy-edge"] {
+            assert!(ReductionPipeline::only(&[name]).is_err(), "{name}");
+        }
         assert!(Reductions::All.is_enabled());
         assert!(!Reductions::None.is_enabled());
         assert_ne!(Reductions::All.cache_key(), Reductions::None.cache_key());

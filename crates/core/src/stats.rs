@@ -29,8 +29,7 @@ pub struct PhaseTiming {
 /// reduction pipeline's per-pass share of the shrink).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReductionPassStats {
-    /// Pass name as registered (`components`, `degree-bound`,
-    /// `heavy-edge`, `padberg-rinaldi`).
+    /// Pass name as registered (`components`, `padberg-rinaldi`).
     pub name: &'static str,
     /// Times the pass ran (the pipeline loops to a fixpoint).
     pub rounds: u64,

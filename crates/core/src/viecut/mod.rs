@@ -120,7 +120,12 @@ pub(crate) fn viecut_connected(
         level_span.arg("lambda_hat", lambda);
         let n_before = current.n();
         // (1) cluster.
+        let mut lp_span = mincut_obs::span("viecut/lp");
+        lp_span.arg("n", current.n());
+        lp_span.arg("m", current.m());
         let (labels, clusters) = label_propagation(&current, cfg.lp_iterations, level_seed);
+        lp_span.arg("clusters", clusters);
+        drop(lp_span);
         level_seed = level_seed.wrapping_add(0x9e37_79b9);
         if clusters == 1 {
             // The whole graph is one strongly connected cluster: there is

@@ -59,6 +59,29 @@ fn enabled_tracing_captures_every_solver_layer() {
         assert!(count(name) > 0, "no {name:?} span recorded");
     }
 
+    // Label propagation has its own span: exactly one per VieCut level,
+    // nested inside it. Spans are recorded as they close, so on each
+    // track every level is directly preceded by its own `viecut/lp`.
+    let tracks: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+    for tid in tracks {
+        let seq: Vec<_> = events
+            .iter()
+            .filter(|e| e.tid == tid && matches!(e.name, "viecut/lp" | "viecut/level"))
+            .collect();
+        assert_eq!(seq.len() % 2, 0, "unpaired viecut/lp or viecut/level span");
+        for pair in seq.chunks(2) {
+            let (lp, level) = (pair[0], pair[1]);
+            assert_eq!((lp.name, level.name), ("viecut/lp", "viecut/level"));
+            assert!(
+                lp.ts_us >= level.ts_us && lp.ts_us + lp.dur_us <= level.ts_us + level.dur_us,
+                "viecut/lp not nested in its level"
+            );
+            for key in ["n", "m", "clusters"] {
+                assert!(lp.arg(key).is_some(), "viecut/lp span missing arg {key:?}");
+            }
+        }
+    }
+
     // The solve span carries the telemetry args the exporter documents.
     let solve = events
         .iter()

@@ -40,6 +40,7 @@
 use mincut_ds::hash::FxHashMap;
 use mincut_ds::{pack_edge, unpack_edge};
 
+use crate::io::MAX_TOTAL_WEIGHT;
 use crate::{CsrGraph, EdgeWeight, NodeId};
 
 /// One touched edge: its current effective weight and the weight it has
@@ -88,6 +89,8 @@ pub struct DeltaGraph {
     wdeg: Vec<EdgeWeight>,
     /// Current undirected edge count.
     m: usize,
+    /// Current total edge weight, saturating at `EdgeWeight::MAX`.
+    total_weight: EdgeWeight,
     /// Advances on every successful mutation (never on compaction).
     epoch: u64,
     /// Fingerprint of the graph this overlay started from; stable across
@@ -119,9 +122,11 @@ impl DeltaGraph {
 
     /// Wraps an immutable base; the overlay starts empty at epoch 0.
     pub fn new(base: CsrGraph) -> Self {
-        let wdeg = (0..base.n() as NodeId)
+        let wdeg: Vec<EdgeWeight> = (0..base.n() as NodeId)
             .map(|v| base.weighted_degree(v))
             .collect();
+        let degree_sum: u128 = wdeg.iter().map(|&d| d as u128).sum();
+        let total_weight = EdgeWeight::try_from(degree_sum / 2).unwrap_or(EdgeWeight::MAX);
         let m = base.m();
         let origin_fingerprint = base.fingerprint();
         DeltaGraph {
@@ -129,6 +134,7 @@ impl DeltaGraph {
             overlay: FxHashMap::default(),
             wdeg,
             m,
+            total_weight,
             epoch: 0,
             origin_fingerprint,
             compactions: 0,
@@ -149,6 +155,14 @@ impl DeltaGraph {
     #[inline]
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// Total edge weight of the current graph (maintained, O(1);
+    /// saturates at `EdgeWeight::MAX` on a base whose weights sum past
+    /// it).
+    #[inline]
+    pub fn total_weight(&self) -> EdgeWeight {
+        self.total_weight
     }
 
     /// Mutation counter: 0 at construction, +1 per successful
@@ -213,10 +227,11 @@ impl DeltaGraph {
     /// convention). Advances the epoch.
     ///
     /// # Panics
-    /// On self-loops, zero weights, or out-of-range endpoints — malformed
-    /// updates are rejected with typed errors one layer up (the
-    /// `mincut-core` trace parser and dynamic maintainer); reaching this
-    /// with bad input is a programming error.
+    /// On self-loops, zero weights, out-of-range endpoints, or a total
+    /// edge weight past [`MAX_TOTAL_WEIGHT`] — malformed updates are
+    /// rejected with typed errors one layer up (the `mincut-core` trace
+    /// parser and dynamic maintainer); reaching this with bad input is a
+    /// programming error.
     ///
     /// [`GraphBuilder`]: crate::GraphBuilder
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId, w: EdgeWeight) {
@@ -227,6 +242,11 @@ impl DeltaGraph {
         );
         assert_ne!(u, v, "self-loop on vertex {u} not allowed");
         assert!(w > 0, "zero-weight insert on edge ({u},{v})");
+        let total = self
+            .total_weight
+            .checked_add(w)
+            .filter(|&t| t <= MAX_TOTAL_WEIGHT)
+            .expect("insert takes the total edge weight past MAX_TOTAL_WEIGHT");
         let key = pack_edge(u, v);
         let base_weight = match self.overlay.get(&key) {
             Some(e) => e.base_weight,
@@ -255,6 +275,7 @@ impl DeltaGraph {
         }
         self.wdeg[u as usize] += w;
         self.wdeg[v as usize] += w;
+        self.total_weight = total;
         self.epoch += 1;
         self.maybe_compact();
     }
@@ -295,6 +316,7 @@ impl DeltaGraph {
         self.m -= 1;
         self.wdeg[u as usize] -= w;
         self.wdeg[v as usize] -= w;
+        self.total_weight -= w;
         self.epoch += 1;
         self.maybe_compact();
         Some(w)
@@ -520,5 +542,27 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_insert_panics() {
         square().insert_edge(0, 9, 1);
+    }
+
+    #[test]
+    fn total_weight_follows_inserts_merges_and_deletes() {
+        let mut g = square();
+        let base = g.base().total_edge_weight();
+        assert_eq!(g.total_weight(), base);
+        g.insert_edge(0, 2, 5); // new chord
+        g.insert_edge(0, 1, 2); // merges into an existing edge
+        assert_eq!(g.total_weight(), base + 7);
+        let w = g.delete_edge(0, 1).unwrap();
+        assert_eq!(g.total_weight(), base + 7 - w);
+        let before = g.total_weight();
+        assert_eq!(g.compact().total_edge_weight(), before);
+        assert_eq!(g.total_weight(), before, "compaction keeps the total");
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_TOTAL_WEIGHT")]
+    fn insert_past_the_total_weight_bound_panics() {
+        let mut g = square();
+        g.insert_edge(0, 2, MAX_TOTAL_WEIGHT);
     }
 }

@@ -158,14 +158,8 @@ pub fn barbell(
 /// Only usable for tiny graphs (n ≤ 24); this is the ground-truth oracle
 /// used by the solver test suites across the workspace.
 pub fn brute_force_mincut(g: &CsrGraph) -> EdgeWeight {
-    let n = g.n();
-    assert!((2..=24).contains(&n), "brute force limited to 2 ≤ n ≤ 24");
     let mut best = EdgeWeight::MAX;
-    // Vertex n-1 fixed on side false kills the complement symmetry.
-    for mask in 1u32..(1 << (n - 1)) {
-        let side: Vec<bool> = (0..n).map(|v| v < n - 1 && (mask >> v) & 1 == 1).collect();
-        best = best.min(g.cut_value(&side));
-    }
+    for_each_cut(g, |value, _| best = best.min(value));
     best
 }
 
@@ -175,31 +169,51 @@ pub fn brute_force_mincut(g: &CsrGraph) -> EdgeWeight {
 /// [`brute_force_mincut`]; this is the ground-truth oracle the cactus
 /// subsystem's bijection is tested against.
 pub fn brute_force_all_min_cuts(g: &CsrGraph) -> (EdgeWeight, Vec<Vec<bool>>) {
-    let n = g.n();
-    assert!((2..=24).contains(&n), "brute force limited to 2 ≤ n ≤ 24");
     let mut best = EdgeWeight::MAX;
     let mut sides: Vec<Vec<bool>> = Vec::new();
-    // Vertex n-1 fixed on side false kills the complement symmetry, so
-    // every bipartition is visited exactly once.
-    for mask in 1u32..(1 << (n - 1)) {
-        let mut side: Vec<bool> = (0..n).map(|v| v < n - 1 && (mask >> v) & 1 == 1).collect();
-        let value = g.cut_value(&side);
+    for_each_cut(g, |value, side| {
         if value > best {
-            continue;
+            return;
         }
         if value < best {
             best = value;
             sides.clear();
         }
-        if side[0] {
-            for b in &mut side {
-                *b = !*b;
-            }
-        }
-        sides.push(side);
-    }
+        let flip = side[0];
+        sides.push(side.iter().map(|&b| b != flip).collect());
+    });
     sides.sort();
     (best, sides)
+}
+
+/// Calls `visit(cut value, side)` once for every bipartition: vertex
+/// n − 1 stays on side `false`, which kills the complement symmetry.
+/// The sides come in Gray-code order, so consecutive sides differ in one
+/// vertex and each step updates the cut value in O(deg) instead of
+/// recomputing it in O(m).
+fn for_each_cut(g: &CsrGraph, mut visit: impl FnMut(EdgeWeight, &[bool])) {
+    let n = g.n();
+    assert!((2..=24).contains(&n), "brute force limited to 2 ≤ n ≤ 24");
+    let mut side = vec![false; n];
+    let mut cut: EdgeWeight = 0;
+    for step in 1u32..(1 << (n - 1)) {
+        // Step i of the reflected Gray code flips bit trailing_zeros(i),
+        // always a vertex below n − 1.
+        let v = step.trailing_zeros() as usize;
+        let (mut stay, mut across) = (0, 0);
+        for (x, w) in g.arcs(v as NodeId) {
+            if side[x as usize] == side[v] {
+                stay += w;
+            } else {
+                across += w;
+            }
+        }
+        // Edges to v's old side start crossing, crossing edges stop;
+        // `across` is part of `cut`, so the subtraction never underflows.
+        cut = cut - across + stay;
+        side[v] = !side[v];
+        visit(cut, &side);
+    }
 }
 
 #[cfg(test)]
@@ -248,6 +262,58 @@ mod tests {
         let (g, l) = ring_of_cliques(3, 5, 3, 2);
         assert_eq!(l, 4);
         assert_eq!(brute_force_mincut(&g), l);
+    }
+
+    /// The mask enumeration the Gray-code walk replaced: one side vector
+    /// and one O(m) `cut_value` per mask. Reference for the test below.
+    fn mask_all_min_cuts(g: &CsrGraph) -> (EdgeWeight, Vec<Vec<bool>>) {
+        let n = g.n();
+        let mut best = EdgeWeight::MAX;
+        let mut sides: Vec<Vec<bool>> = Vec::new();
+        for mask in 1u32..(1 << (n - 1)) {
+            let mut side: Vec<bool> = (0..n).map(|v| v < n - 1 && (mask >> v) & 1 == 1).collect();
+            let value = g.cut_value(&side);
+            if value > best {
+                continue;
+            }
+            if value < best {
+                best = value;
+                sides.clear();
+            }
+            if side[0] {
+                for b in &mut side {
+                    *b = !*b;
+                }
+            }
+            sides.push(side);
+        }
+        sides.sort();
+        (best, sides)
+    }
+
+    #[test]
+    fn gray_code_oracles_match_the_mask_enumeration() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x6a7);
+        for trial in 0..300 {
+            let n = rng.gen_range(2..=14usize);
+            let p = rng.gen_range(0.1..0.9);
+            let mut edges = Vec::new();
+            for u in 0..n as NodeId {
+                for v in u + 1..n as NodeId {
+                    if rng.gen_bool(p) {
+                        edges.push((u, v, rng.gen_range(1..20)));
+                    }
+                }
+            }
+            // Sparse draws leave some graphs disconnected: λ = 0 with
+            // many minimum cuts is covered too.
+            let g = CsrGraph::from_edges(n, &edges);
+            let want = mask_all_min_cuts(&g);
+            assert_eq!(brute_force_mincut(&g), want.0, "trial {trial}");
+            assert_eq!(brute_force_all_min_cuts(&g), want, "trial {trial}");
+        }
     }
 
     #[test]

@@ -13,19 +13,9 @@ use crate::{CsrGraph, NodeId};
 ///
 /// Bucket-based peeling in O(n + m).
 pub fn core_numbers(g: &CsrGraph) -> Vec<u32> {
-    core_decomposition(g).0
-}
-
-/// Core numbers plus the peeling order itself: vertices in the
-/// non-decreasing-degree order the Batagelj–Zaversnik peel removes them.
-/// Loosely attached structure (satellite cliques, pendant trees) forms
-/// contiguous prefixes of this order, which is what makes the prefix cuts
-/// along it a useful degree-based λ̂ bound (the reduction pipeline's
-/// `degree-bound` pass).
-pub fn core_decomposition(g: &CsrGraph) -> (Vec<u32>, Vec<NodeId>) {
     let n = g.n();
     if n == 0 {
-        return (Vec::new(), Vec::new());
+        return Vec::new();
     }
     let mut degree: Vec<u32> = (0..n as NodeId).map(|v| g.degree(v) as u32).collect();
     let max_deg = *degree.iter().max().unwrap() as usize;
@@ -49,12 +39,10 @@ pub fn core_decomposition(g: &CsrGraph) -> (Vec<u32>, Vec<NodeId>) {
     }
 
     // Peel in non-decreasing degree order; `vert` mutates as vertices are
-    // re-bucketed, so the realised order is captured as we go.
+    // re-bucketed.
     let mut core = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
     for i in 0..n {
         let v = vert[i];
-        order.push(v);
         core[v as usize] = degree[v as usize];
         for &u in g.neighbors(v) {
             if degree[u as usize] > degree[v as usize] {
@@ -75,7 +63,7 @@ pub fn core_decomposition(g: &CsrGraph) -> (Vec<u32>, Vec<NodeId>) {
             }
         }
     }
-    (core, order)
+    core
 }
 
 /// The k-core as a subgraph: vertices with core number ≥ k, plus the map
@@ -113,24 +101,6 @@ mod tests {
     fn core_numbers_triangle_with_tail() {
         let core = core_numbers(&triangle_with_tail());
         assert_eq!(core, vec![2, 2, 2, 1, 1]);
-    }
-
-    #[test]
-    fn peeling_order_is_a_permutation_peeling_loose_structure_first() {
-        let g = triangle_with_tail();
-        let (core, order) = core_decomposition(&g);
-        assert_eq!(core_numbers(&g), core);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..5).collect::<Vec<_>>());
-        // The pendant path peels before the triangle: 4 first, then 3
-        // (whose degree dropped to 1 when 4 left).
-        assert_eq!(order[0], 4);
-        assert_eq!(order[1], 3);
-        // Core numbers along the order never decrease.
-        assert!(order
-            .windows(2)
-            .all(|w| core[w[0] as usize] <= core[w[1] as usize]));
     }
 
     #[test]

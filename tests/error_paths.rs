@@ -154,6 +154,7 @@ fn trace_parser_rejections_are_values_with_line_numbers() {
 
 #[test]
 fn dynamic_updates_reject_bad_edges_as_values() {
+    let max = sm_mincut::graph::io::MAX_TOTAL_WEIGHT;
     let (g, l) = sm_mincut::graph::generators::known::cycle_graph(5, 1);
     let mut dm = DynamicMinCut::new(g, "noi", SolveOptions::new()).unwrap();
     for result in [
@@ -161,11 +162,19 @@ fn dynamic_updates_reject_bad_edges_as_values() {
         dm.insert_edge(0, 7, 1), // out of range
         dm.insert_edge(0, 2, 0), // zero weight
         dm.delete_edge(0, 2),    // no such chord
+        // Total edge weight (5 before) past MAX_TOTAL_WEIGHT, where
+        // weighted degrees and cut values would wrap.
+        dm.insert_edge(0, 2, u64::MAX),
+        dm.insert_edge(0, 2, max - 4),
     ] {
         assert!(matches!(result, Err(MinCutError::InvalidUpdate { .. })));
     }
     assert_eq!(dm.lambda(), l, "failed updates leave the state untouched");
     assert_eq!(dm.epoch(), 0);
+    assert_eq!(dm.graph().total_weight(), 5);
+    // Exactly at the bound is accepted, and λ stays exact.
+    dm.insert_edge(0, 2, max - 5).unwrap();
+    assert_eq!((dm.lambda(), dm.epoch()), (l, 1));
 }
 
 /// Regression: a failed re-solve used to poison a `DynamicMinCut`
@@ -621,6 +630,33 @@ fn cli_stream_mode_exit_codes_and_output() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "--stream + --side");
+}
+
+#[test]
+fn cli_stream_rejects_inserts_past_the_total_weight_bound() {
+    // λ = 1 on a connected graph; both traces used to print
+    // `"lambda":0` and exit 0 after the weights wrapped.
+    let graph = scratch_file("pendant_triangle.txt", "0 1 1\n1 2 1\n2 0 1\n2 3 1\n");
+    for (name, content) in [
+        ("insert_u64_max.trace", "i 2 3 18446744073709551615\nq\n"),
+        (
+            "insert_twice_half.trace",
+            "i 0 3 9223372036854775807\ni 1 3 9223372036854775807\nq\n",
+        ),
+    ] {
+        let trace = scratch_file(name, content);
+        let out = mincut_bin()
+            .args(["--stream"])
+            .arg(&trace)
+            .arg(&graph)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("invalid graph update"), "{name}: {stderr}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(!stdout.contains("\"lambda\":0"), "{name}: {stdout}");
+    }
 }
 
 #[test]
